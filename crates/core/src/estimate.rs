@@ -5,8 +5,6 @@
 //! error against the full-sequence simulation, reported for the four
 //! Fig. 7 metrics.
 
-use serde::{Deserialize, Serialize};
-
 use megsim_stats::relative_error;
 use megsim_timing::FrameStats;
 
@@ -14,7 +12,7 @@ use crate::pipeline::Representative;
 
 /// Relative errors of the four metrics the paper evaluates (fractions,
 /// e.g. `0.0084` = 0.84 %).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricErrors {
     /// Total cycles.
     pub cycles: f64,

@@ -5,14 +5,12 @@
 //! instructions weighted by their filter's memory accesses), plus the
 //! number of primitives reaching the Tiling Engine.
 
-use serde::{Deserialize, Serialize};
-
 use megsim_cluster::PointMatrix;
 use megsim_funcsim::FrameActivity;
 use megsim_gfx::shader::ShaderTable;
 
 /// Options of the characterization step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CharacterizationConfig {
     /// Weight texture instructions by the memory accesses of their
     /// filter mode (paper §III-B: linear = 2, bilinear = 4,
@@ -33,7 +31,7 @@ impl Default for CharacterizationConfig {
 /// Rows are stored contiguously (row-major) in a [`PointMatrix`] so the
 /// normalization and distance kernels downstream stream cache lines
 /// instead of chasing one heap allocation per frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     /// Raw (un-normalized) rows, one per frame, in contiguous storage.
     pub rows: PointMatrix,

@@ -9,14 +9,12 @@
 //! accordingly" — i.e. every group is rescaled so its total mass equals
 //! its weight.
 
-use serde::{Deserialize, Serialize};
-
 use megsim_cluster::PointMatrix;
 
 use crate::features::FeatureMatrix;
 
 /// Per-phase weights of the three feature groups.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupWeights {
     /// Weight of the VSCV group (Geometry Pipeline power fraction).
     pub geometry: f64,

@@ -1,8 +1,6 @@
 //! The MEGsim selection pipeline: characteristic vectors → normalization
 //! → k-means/BIC search → cluster representatives (paper §III).
 
-use serde::{Deserialize, Serialize};
-
 use megsim_cluster::{search_clusters, SearchConfig, StreamClusterer, StreamConfig};
 
 use crate::features::{CharacterizationConfig, FeatureMatrix};
@@ -36,7 +34,7 @@ impl MegsimConfig {
 }
 
 /// One selected representative frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Representative {
     /// Frame index within the sequence.
     pub frame_index: usize,

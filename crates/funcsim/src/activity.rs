@@ -6,12 +6,10 @@
 //! primitives that reach the Tiling Engine (PRIM), and the remaining
 //! pipeline activity used by the timing and power models.
 
-use serde::{Deserialize, Serialize};
-
 use megsim_gfx::shader::TextureFilter;
 
 /// Activity counters of one rendered frame (or a merged sequence).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrameActivity {
     /// Vertex-shader invocations per vertex shader ID (raw VSCV).
     pub vertex_shader_invocations: Vec<u64>,

@@ -5,8 +5,6 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use megsim_gfx::draw::{Frame, Viewport};
 use megsim_gfx::shader::ShaderTable;
 
@@ -24,7 +22,7 @@ thread_local! {
 }
 
 /// The rendering architecture being simulated (paper §II-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RenderMode {
     /// Tile-Based Rendering — the paper's baseline (Mali-style).
     #[default]
@@ -38,7 +36,7 @@ pub enum RenderMode {
 }
 
 /// Configuration of the functional renderer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenderConfig {
     /// Render-target geometry.
     pub viewport: Viewport,

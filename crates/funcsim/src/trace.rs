@@ -4,8 +4,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use megsim_gfx::draw::{BlendMode, Viewport};
 use megsim_gfx::math::Vec2;
 use megsim_gfx::shader::ShaderId;
@@ -15,7 +13,7 @@ use crate::activity::FrameActivity;
 use crate::renderer::RenderMode;
 
 /// Geometry-phase record of one draw call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrawGeometry {
     /// Index of the draw call within the frame.
     pub draw_index: u32,
@@ -34,7 +32,7 @@ pub struct DrawGeometry {
 }
 
 /// One 2×2 quad of fragments produced by the rasterizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadTrace {
     /// Pixel X of the quad's top-left corner.
     pub x: u16,
@@ -61,7 +59,7 @@ impl QuadTrace {
 }
 
 /// The rasterization work of one primitive within one tile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TilePrim {
     /// Index of the owning draw call.
     pub draw_index: u32,
@@ -85,7 +83,7 @@ pub struct TilePrim {
 }
 
 /// All rasterization work binned to one screen tile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileTrace {
     /// Flattened tile index (row-major).
     pub tile_index: u32,
@@ -94,7 +92,7 @@ pub struct TileTrace {
 }
 
 /// The complete per-frame trace: geometry phase + per-tile raster work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameTrace {
     /// Rendering mode the trace was produced under.
     pub mode: RenderMode,

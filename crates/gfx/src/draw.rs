@@ -3,15 +3,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::Mesh;
 use crate::math::Mat4;
 use crate::shader::ShaderId;
 use crate::texture::TextureDesc;
 
 /// How fragment output combines with the tile's color buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlendMode {
     /// Overwrite the destination (opaque geometry).
     #[default]
@@ -31,7 +29,7 @@ impl BlendMode {
 }
 
 /// One draw call: a mesh drawn with a transform and a shader pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DrawCall {
     /// Geometry to draw. `Arc` so the thousands of frames of a workload
     /// can share the mesh library without cloning vertex data.
@@ -63,7 +61,7 @@ impl DrawCall {
 }
 
 /// One frame of the workload: an ordered list of draw calls.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Frame {
     /// Draw calls in submission order.
     pub draws: Vec<DrawCall>,
@@ -87,7 +85,7 @@ impl Frame {
 }
 
 /// Render-target description shared by the functional and timing models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Viewport {
     /// Render-target width in pixels.
     pub width: u32,

@@ -1,11 +1,9 @@
 //! Vertices, meshes and primitives flowing through the pipeline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::math::{signed_area2, Vec2, Vec3};
 
 /// A model-space vertex as stored in a vertex buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vertex {
     /// Model-space position.
     pub position: Vec3,
@@ -31,7 +29,7 @@ impl Vertex {
 }
 
 /// An indexed triangle mesh plus its simulated memory location.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mesh {
     /// Vertex data.
     pub vertices: Vec<Vertex>,
@@ -75,7 +73,7 @@ impl Mesh {
 }
 
 /// A vertex after the Geometry Pipeline: screen-space position + varyings.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ScreenVertex {
     /// Screen-space X in pixels.
     pub x: f32,
@@ -97,7 +95,7 @@ impl ScreenVertex {
 }
 
 /// A screen-space triangle (the paper's *primitive*).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Primitive {
     /// The three transformed vertices.
     pub v: [ScreenVertex; 3],

@@ -7,10 +7,8 @@
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A 2-component single-precision vector (screen-space positions, UVs).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// X component.
     pub x: f32,
@@ -19,7 +17,7 @@ pub struct Vec2 {
 }
 
 /// A 3-component single-precision vector (model-space positions, normals).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component.
     pub x: f32,
@@ -30,7 +28,7 @@ pub struct Vec3 {
 }
 
 /// A 4-component single-precision vector (homogeneous/clip coordinates).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec4 {
     /// X component.
     pub x: f32,
@@ -170,7 +168,7 @@ impl_vec_ops!(Vec3 { x, y, z });
 impl_vec_ops!(Vec4 { x, y, z, w });
 
 /// A column-major 4×4 matrix, the workhorse of the vertex shader stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat4 {
     /// Columns of the matrix.
     pub cols: [Vec4; 4],

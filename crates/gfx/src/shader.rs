@@ -7,13 +7,11 @@
 //! than as executable ISA programs. This is exactly the information the
 //! paper extracts from its instrumented Softpipe functional renderer.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a shader program within one workload.
 ///
 /// Vertex and fragment shaders live in separate ID spaces, mirroring the
 /// paper's separate VSCV/FSCV vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShaderId(pub u32);
 
 impl std::fmt::Display for ShaderId {
@@ -23,7 +21,7 @@ impl std::fmt::Display for ShaderId {
 }
 
 /// The pipeline stage a shader runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShaderKind {
     /// Runs in the Vertex Processors of the Geometry Pipeline.
     Vertex,
@@ -36,7 +34,7 @@ pub enum ShaderKind {
 /// The paper weights texture accesses by the number of memory accesses
 /// each filter performs: linear = 2, bilinear = 4, trilinear = 8
 /// (§III-B). `Nearest` (a single texel fetch) completes the lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TextureFilter {
     /// Single texel fetch.
     Nearest,
@@ -71,7 +69,7 @@ impl TextureFilter {
 }
 
 /// A cost-model description of one shader program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShaderProgram {
     /// Program identifier (unique per kind within a workload).
     pub id: ShaderId,
@@ -143,7 +141,7 @@ impl ShaderProgram {
 }
 
 /// The shader library of one workload: `p` vertex + `q` fragment shaders.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShaderTable {
     vertex: Vec<ShaderProgram>,
     fragment: Vec<ShaderProgram>,

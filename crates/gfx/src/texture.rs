@@ -4,17 +4,15 @@
 //! needed to turn a `(u, v)` sample into the set of memory addresses the
 //! texture caches and DRAM will observe.
 
-use serde::{Deserialize, Serialize};
-
 use crate::math::Vec2;
 use crate::shader::TextureFilter;
 
 /// Identifies a texture within one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TextureId(pub u32);
 
 /// Metadata of one texture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TextureDesc {
     /// Texture identifier.
     pub id: TextureId,

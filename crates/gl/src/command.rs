@@ -7,8 +7,6 @@
 //! reproduction: resource creation, state binding and draw commands,
 //! with explicit frame boundaries.
 
-use serde::{Deserialize, Serialize};
-
 use megsim_gfx::draw::BlendMode;
 use megsim_gfx::geometry::Mesh;
 use megsim_gfx::math::Mat4;
@@ -16,7 +14,7 @@ use megsim_gfx::shader::{ShaderId, ShaderProgram};
 use megsim_gfx::texture::TextureDesc;
 
 /// Identifies a buffer object (mesh) within a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BufferId(pub u32);
 
 /// One recorded command.
@@ -25,7 +23,7 @@ pub struct BufferId(pub u32);
 /// created once, state is bound, and draws consume the current state —
 /// exactly the structure a real intercepted trace has (and what makes
 /// traces much smaller than per-frame scene dumps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Uploads an indexed mesh (glBufferData of vertices + indices).
     BufferData {
@@ -79,7 +77,7 @@ impl Command {
 
 /// A recorded command stream: a prelude of resource uploads followed by
 /// per-frame state/draw commands separated by [`Command::SwapBuffers`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommandStream {
     /// Commands in issue order.
     pub commands: Vec<Command>,

@@ -15,10 +15,8 @@
 //! implementation is retained in [`crate::cache_reference`] and pinned
 //! bit-for-bit by proptests there.
 
-use serde::{Deserialize, Serialize};
-
 /// Static configuration of one cache.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Human-readable name used in stats dumps (e.g. `"L2"`).
     pub name: String,
@@ -78,7 +76,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss and traffic counters of one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Read accesses.
     pub reads: u64,

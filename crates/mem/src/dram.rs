@@ -6,10 +6,8 @@
 //! *GPU* cycles — the paper's 600 MHz core vs 400 MHz LPDDR3 clock ratio
 //! is folded into the latency constants, as TEAPOT's tables do.
 
-use serde::{Deserialize, Serialize};
-
 /// Static DRAM configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Number of banks (Table I: 8).
     pub banks: u32,
@@ -51,7 +49,7 @@ impl Default for DramConfig {
 }
 
 /// Access counters of the DRAM.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Line reads serviced.
     pub reads: u64,

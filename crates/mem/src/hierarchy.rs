@@ -5,8 +5,6 @@
 //! machine where the L2 sits between all first-level caches and main
 //! memory.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::dram::{Dram, DramConfig, DramStats};
 
@@ -22,7 +20,7 @@ pub struct HierarchyAccess {
 }
 
 /// Aggregated counters of the shared memory system.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// L2 counters.
     pub l2: CacheStats,

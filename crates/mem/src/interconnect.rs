@@ -20,10 +20,8 @@
 //! stats accumulate per line, and the propagation latency is paid once
 //! per line but only the last line's arrival is observable.
 
-use serde::{Deserialize, Serialize};
-
 /// Static configuration of one interconnect link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkConfig {
     /// Propagation latency in GPU cycles (first-byte-out to
     /// first-byte-in; a PCIe-class hop is a few hundred core cycles).
@@ -58,7 +56,7 @@ impl Default for LinkConfig {
 }
 
 /// Traffic counters of one link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Line-sized bursts moved.
     pub transfers: u64,

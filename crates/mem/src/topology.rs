@@ -20,14 +20,12 @@
 //! can thread whichever GPU's stream is active through the existing
 //! `access_run` fast paths unchanged.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheConfig;
 use crate::dram::DramConfig;
 use crate::hierarchy::{MemoryHierarchy, MemoryStats};
 
 /// How N GPUs map onto L2 + DRAM back ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Topology {
     /// One contended hierarchy shared by every GPU.
     Shared,

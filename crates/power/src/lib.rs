@@ -23,8 +23,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
-
 use megsim_timing::FrameStats;
 
 /// Per-event energy coefficients in nanojoules.
@@ -33,7 +31,7 @@ use megsim_timing::FrameStats;
 /// matter); values are in the relative proportions reported for
 /// Mali-class mobile GPUs: fragment work dominates, texture sampling is
 /// expensive, fixed-function geometry is cheap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyCoefficients {
     /// Vertex Fetcher: one vertex fetched (incl. vertex-cache access).
     pub vertex_fetch: f64,
@@ -82,7 +80,7 @@ impl Default for EnergyCoefficients {
 }
 
 /// Energy attributed to the three pipeline phases of Fig. 4, in nJ.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerBreakdown {
     /// Geometry Pipeline energy.
     pub geometry: f64,
@@ -126,7 +124,7 @@ impl PowerBreakdown {
 /// The per-phase weights used to normalize the vector of
 /// characteristics (§III-C): VSCV is weighted by `geometry`, FSCV by
 /// `raster`, PRIM by `tiling`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseWeights {
     /// Geometry Pipeline fraction (paper: 0.108).
     pub geometry: f64,
@@ -163,7 +161,7 @@ impl Default for PhaseWeights {
 }
 
 /// The energy model: coefficients + attribution rules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyModel {
     /// Per-event coefficients.
     pub coefficients: EnergyCoefficients,

@@ -1,13 +1,11 @@
 //! The machine description of Table I.
 
-use serde::{Deserialize, Serialize};
-
 use megsim_funcsim::RenderMode;
 use megsim_gfx::draw::Viewport;
 use megsim_mem::{CacheConfig, DramConfig};
 
 /// Fixed-size hardware queue description (Table I "Queues").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueConfig {
     /// Number of entries.
     pub entries: u32,
@@ -16,7 +14,7 @@ pub struct QueueConfig {
 }
 
 /// The full GPU configuration (Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Core frequency in MHz (600).
     pub frequency_mhz: u32,

@@ -39,7 +39,7 @@ pub mod stats;
 pub mod timing_reference;
 
 pub use config::{GpuConfig, QueueConfig};
-pub use gpu::{Gpu, ShardMode};
+pub use gpu::Gpu;
 pub use multi_gpu::{DispatchMode, MultiGpu, MultiGpuConfig, MultiGpuReport, WorkDistributor};
 // The rig's topology and link knobs are part of its configuration
 // surface; re-exported so downstream crates need no megsim-mem dep.

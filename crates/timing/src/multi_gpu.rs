@@ -39,25 +39,23 @@
 //!
 //! A single-GPU rig is the existing pipeline: AFR degenerates to
 //! [`Gpu::simulate_frame`] on GPU 0 with zero transfers, and SFR's
-//! band split produces the exact shard sequence of
-//! [`ShardMode::Force`], which PR 6 pinned bit-identical to the
-//! sequential raster loop. The `tests/multi_gpu.rs` oracle pins both
-//! against the single-GPU warm path (and, under `--features
+//! band split produces the exact shard sequence of the single-GPU
+//! record/replay raster phase. The `tests/multi_gpu.rs` oracle pins
+//! both against the single-GPU warm path (and, under `--features
 //! reference`, against [`crate::ReferenceGpu`]).
 
 use megsim_funcsim::FrameTrace;
 use megsim_gfx::shader::ShaderTable;
 use megsim_mem::{Link, LinkConfig, LinkStats, MemoryPool, Topology};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 use crate::config::GpuConfig;
-use crate::gpu::{Gpu, ShardMode};
+use crate::gpu::Gpu;
 use crate::shard;
 use crate::stats::{FrameStats, UnitBusy};
 
 /// How the distributor assigns work to the N GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
     /// Frame `i` → GPU `i mod N`, whole.
     #[default]
@@ -67,7 +65,7 @@ pub enum DispatchMode {
 }
 
 /// Configuration of an N-GPU rig.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiGpuConfig {
     /// Number of GPU instances (≥ 1).
     pub gpus: usize,
@@ -150,7 +148,7 @@ impl WorkDistributor {
 }
 
 /// Cumulative work and traffic accounting of a rig.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MultiGpuReport {
     /// Frames each GPU worked on (every GPU, under SFR).
     pub frames_per_gpu: Vec<u64>,
@@ -203,8 +201,6 @@ pub struct MultiGpu {
     /// Global sequence position (drives double-buffer parity on every
     /// GPU, like the single-GPU frame counter).
     frame_index: u64,
-    /// Per-GPU replay scratch (texture-pipe clocks), reused per frame.
-    tex_clock: Vec<Vec<u64>>,
 }
 
 impl MultiGpu {
@@ -212,24 +208,17 @@ impl MultiGpu {
     ///
     /// # Panics
     ///
-    /// Panics if `multi.gpus` is zero.
+    /// Panics if `multi.gpus` is zero, or if `config.fragment_processors`
+    /// is outside `1..=256` (see [`Gpu::new`]).
     pub fn new(config: GpuConfig, multi: MultiGpuConfig) -> Self {
         assert!(multi.gpus > 0, "a rig needs at least one GPU");
         let pool = MemoryPool::new(multi.topology, multi.gpus, config.l2.clone(), config.dram);
-        let mut gpus: Vec<Gpu> = (0..multi.gpus).map(|_| Gpu::new(config.clone())).collect();
-        for gpu in &mut gpus {
-            // The rig drives the shard machinery itself (SFR) or lets
-            // the per-frame policy decide (AFR); Auto keeps AFR frames
-            // on the same path as the single-GPU pipeline.
-            gpu.set_shard_mode(ShardMode::Auto);
-        }
-        let n_fp = config.fragment_processors;
+        let gpus: Vec<Gpu> = (0..multi.gpus).map(|_| Gpu::new(config.clone())).collect();
         Self {
             distributor: WorkDistributor::new(multi.gpus, multi.dispatch),
             links: (0..multi.gpus).map(|_| Link::new(multi.link)).collect(),
             frames_per_gpu: vec![0; multi.gpus],
             frame_index: 0,
-            tex_clock: vec![vec![0; n_fp]; multi.gpus],
             gpus,
             pool,
             config: multi,
@@ -340,34 +329,25 @@ impl MultiGpu {
         let geometry_cycles = geom.iter().copied().max().unwrap_or(0);
 
         // Record (parallel, pure): each band chunked into the same
-        // SHARD_TILES shards the single-GPU sharded path uses.
+        // SHARD_TILES shards the single-GPU raster phase uses.
         let ranges = self.distributor.tile_ranges(trace.tiles.len());
-        let mut jobs: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut jobs: Vec<Range<usize>> = Vec::new();
         let mut shards_of: Vec<Range<usize>> = Vec::with_capacity(n);
-        for (g, band) in ranges.iter().enumerate() {
+        for band in &ranges {
             let first = jobs.len();
             let mut start = band.start;
             while start < band.end {
                 let end = (start + shard::SHARD_TILES).min(band.end);
-                jobs.push((g, start..end));
+                jobs.push(start..end);
                 start = end;
             }
             shards_of.push(first..jobs.len());
         }
         let gpu_config = &self.gpus[0].config;
         let frame_index = self.frame_index;
-        let logs: Vec<shard::ShardLog> =
-            if megsim_exec::thread_count() > 1 && !megsim_exec::in_pool() {
-                megsim_exec::par_map_indexed(&jobs, |_, (_, range)| {
-                    shard::record_tiles(trace, shaders, gpu_config, frame_index, range.clone())
-                })
-            } else {
-                jobs.iter()
-                    .map(|(_, range)| {
-                        shard::record_tiles(trace, shaders, gpu_config, frame_index, range.clone())
-                    })
-                    .collect()
-            };
+        let logs = megsim_exec::par_map_indexed(&jobs, |_, range| {
+            shard::record_tiles(trace, shaders, gpu_config, frame_index, range.clone())
+        });
 
         // Replay (serial, deterministic): round-robin across GPUs at
         // shard granularity — the fixed interleave that makes shared-
@@ -399,7 +379,7 @@ impl MultiGpu {
                     raster_base,
                     &mut busys[g],
                     &mut states[g],
-                    &mut self.tex_clock[g],
+                    &mut gpu.tex_clock,
                 );
                 std::mem::swap(&mut self.gpus[g].memory, self.pool.for_gpu(g));
             }

@@ -1,36 +1,36 @@
-//! Intra-frame parallel timing: tile-sharded raster simulation with a
+//! The raster phase of the timing model: tile record/replay with a
 //! deterministic memory-traffic merge.
 //!
-//! All pre-PR-6 parallelism was frame-level, so one large frame
-//! serialized on a single core. Tiles, however, are independent through
-//! the FP-array raster pipeline — only the shared memory system (tile
-//! cache, per-FP texture caches, L2, DRAM) couples them. This module
-//! splits `Gpu::simulate_frame`'s tile loop into two stages:
+//! Tiles are independent through the FP-array raster pipeline — only
+//! the shared memory system (tile cache, per-FP texture caches, L2,
+//! DRAM) couples them. `Gpu::simulate_frame` therefore runs its tile
+//! loop in two stages:
 //!
-//! 1. **Record** (parallel, pure): shard workers walk disjoint tile
-//!    ranges and do everything that does not touch shared state —
-//!    texture-sampler memoization and per-fragment address generation,
-//!    same-line run coalescing ([`megsim_mem::RunCoalescer`]),
-//!    polygon-list run layout, per-FP ALU clock sums, Early-Z/blend
-//!    occupancy, round-robin quad distribution — emitting a compact
-//!    per-shard [`ShardLog`] of `(addr, count, kind)` runs plus pure
-//!    clock totals. No cache or DRAM is touched, so shards race on
-//!    nothing.
+//! 1. **Record** (pure, parallel when threads allow): shard workers
+//!    walk disjoint tile ranges and do everything that does not touch
+//!    shared state — texture-sampler memoization and per-fragment
+//!    address generation, same-line run coalescing
+//!    ([`megsim_mem::RunCoalescer`]), polygon-list run layout, per-FP
+//!    ALU clock sums, Early-Z/blend occupancy, round-robin quad
+//!    distribution — emitting a compact per-shard [`ShardLog`] of
+//!    `(addr, count, kind)` runs plus pure clock totals. No cache or
+//!    DRAM is touched, so shards race on nothing.
 //! 2. **Replay** (serial, tile-index-ascending): the caller thread
 //!    merges completed shards in order, replaying each tile's log
-//!    through the existing [`megsim_mem::Cache::access_run`] /
+//!    through the [`megsim_mem::Cache::access_run`] /
 //!    [`megsim_mem::MemoryHierarchy::access_run`] fast paths and
 //!    re-deriving every latency-coupled clock (polygon-list read-back,
 //!    texture-pipe stalls, IMR depth/color posted writes, the tile
-//!    flush) exactly as the sequential loop would.
+//!    flush).
 //!
 //! Because the log captures the *complete* ordered stream of
 //! potentially-memory-touching events — with the pure clock advances
-//! between them — the replay leaves every cache line, LRU stamp, DRAM
-//! row buffer, stat counter and cycle count **bit-identical to the
-//! sequential raster phase at any thread count and any shard size**.
-//! The oracle tests below pin that equivalence against both the direct
-//! fast path and the retained seed [`crate::ReferenceGpu`].
+//! between them — the replay issues exactly the per-quad access order
+//! of a scalar tile-by-tile loop, so every cache line, LRU stamp, DRAM
+//! row buffer, stat counter and cycle count is **bit-identical at any
+//! thread count and any shard size**. The oracle tests below pin that
+//! against the retained seed [`crate::ReferenceGpu`] and across thread
+//! counts.
 
 use std::ops::Range;
 
@@ -51,8 +51,8 @@ use crate::stats::UnitBusy;
 pub(crate) const SHARD_TILES: usize = 8;
 
 /// One potentially-memory-touching event of a tile, in the exact order
-/// the sequential raster loop would issue it. `pre` fields carry the
-/// pure clock advances accumulated since the previous event on the
+/// a scalar tile-by-tile raster loop would issue it. `pre` fields carry
+/// the pure clock advances accumulated since the previous event on the
 /// same clock, so the replay reconstructs each clock's running value
 /// at the moment of the access.
 #[derive(Debug, Clone, Copy)]
@@ -156,7 +156,7 @@ pub(crate) fn record_tiles(
     for tile in &trace.tiles[range] {
         // Polygon-list read-back runs: a pure function of the tile
         // index and entry count (absent in immediate mode), coalesced
-        // by tile-cache line exactly as the sequential scan would.
+        // by tile-cache line exactly as the PLB wrote them.
         if !immediate {
             let entries = tile.prims.len() as u64;
             let mut n = 0u64;
@@ -240,9 +240,11 @@ pub(crate) fn record_tiles(
                 log.fp_alu[fp_base + fp] += quad_cost[vis as usize];
                 if !samplers.is_empty() {
                     // Same-line run merging with the exact boundaries
-                    // of the sequential address scan; the coalescer
-                    // state spans the whole quad, as in the direct
-                    // path's `sample_textures`.
+                    // of a scan over the quad's flat address sequence
+                    // (the sampler's pre-coalesced runs are same-line,
+                    // so extending the open run by `count` merges
+                    // exactly where the flat scan would); the coalescer
+                    // state spans the whole quad.
                     let mut runs = RunCoalescer::new(tex_shift);
                     for off in &offsets[..vis.min(4) as usize] {
                         let fuv = Vec2::new(quad.uv.x + off.x, quad.uv.y + off.y);
@@ -326,8 +328,8 @@ impl ReplayState {
 
 /// Replays one shard's log against the shared memory system, tile by
 /// tile in index order — the deterministic merge. Must be called with
-/// shards in ascending tile order; within the call it reproduces the
-/// sequential raster loop's access order and clock arithmetic exactly.
+/// shards in ascending tile order; within the call it reproduces a
+/// scalar tile loop's access order and clock arithmetic exactly.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_shard(
     log: &ShardLog,
@@ -469,7 +471,7 @@ pub(crate) fn replay_shard(
 #[cfg(test)]
 mod tests {
     use crate::config::GpuConfig;
-    use crate::gpu::{Gpu, ShardMode};
+    use crate::gpu::Gpu;
     use crate::stats::FrameStats;
     use crate::timing_reference::ReferenceGpu;
     use megsim_funcsim::{RenderConfig, RenderMode, Renderer};
@@ -561,19 +563,20 @@ mod tests {
         vec![f.clone(), f.clone(), f]
     }
 
-    fn run_sequence(
-        mode: RenderMode,
-        viewport: Viewport,
-        shard: ShardMode,
-        frames: &[Frame],
-    ) -> (Vec<FrameStats>, u64) {
-        let t = shaders();
+    fn config(mode: RenderMode, viewport: Viewport) -> GpuConfig {
         let mut cfg = GpuConfig::small(viewport.width, viewport.height);
         cfg.viewport = viewport;
         cfg.render_mode = mode;
-        let renderer = Renderer::new(RenderConfig { viewport, mode });
-        let mut gpu = Gpu::new(cfg);
-        gpu.set_shard_mode(shard);
+        cfg
+    }
+
+    fn run_sequence(cfg: &GpuConfig, frames: &[Frame]) -> (Vec<FrameStats>, u64) {
+        let t = shaders();
+        let renderer = Renderer::new(RenderConfig {
+            viewport: cfg.viewport,
+            mode: cfg.render_mode,
+        });
+        let mut gpu = Gpu::new(cfg.clone());
         let stats = frames
             .iter()
             .map(|f| gpu.simulate_frame(&renderer.render_frame(f, &t), &t))
@@ -581,49 +584,60 @@ mod tests {
         (stats, gpu.now())
     }
 
-    #[test]
-    fn forced_sharding_bit_identical_to_sequential_all_modes() {
-        let frames = scene();
-        let viewport = Viewport::new(128, 128, 32);
-        for mode in MODES {
-            let base = run_sequence(mode, viewport, ShardMode::Off, &frames);
-            for threads in [1, 2, 8] {
-                megsim_exec::set_threads(threads);
-                let got = run_sequence(mode, viewport, ShardMode::Force, &frames);
-                megsim_exec::set_threads(0);
-                assert_eq!(got, base, "{mode:?} at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn forced_sharding_matches_reference_on_partial_tiles() {
-        // 33×33 target with 16-px tiles: a 3×3 grid whose right column
-        // and bottom row are 1-px slivers — the shard-boundary and
-        // flush-rect-clamp regression case.
-        let frames = scene();
-        let viewport = Viewport::new(33, 33, 16);
+    /// Warm frame-by-frame equality with the retained scalar model.
+    fn assert_matches_reference(cfg: &GpuConfig, frames: &[Frame]) {
         let t = shaders();
-        for mode in MODES {
-            let mut cfg = GpuConfig::small(viewport.width, viewport.height);
-            cfg.viewport = viewport;
-            cfg.render_mode = mode;
-            let renderer = Renderer::new(RenderConfig { viewport, mode });
-            let mut sharded = Gpu::new(cfg.clone());
-            sharded.set_shard_mode(ShardMode::Force);
-            let mut reference = ReferenceGpu::new(cfg);
-            for (i, frame) in frames.iter().enumerate() {
-                let trace = renderer.render_frame(frame, &t);
-                let a = sharded.simulate_frame(&trace, &t);
-                let b = reference.simulate_frame(&trace, &t);
-                assert_eq!(a, b, "{mode:?} frame {i}");
-                assert_eq!(sharded.now(), reference.now(), "{mode:?} frame {i} clock");
+        let renderer = Renderer::new(RenderConfig {
+            viewport: cfg.viewport,
+            mode: cfg.render_mode,
+        });
+        let mut gpu = Gpu::new(cfg.clone());
+        let mut reference = ReferenceGpu::new(cfg.clone());
+        for (i, frame) in frames.iter().enumerate() {
+            let trace = renderer.render_frame(frame, &t);
+            let a = gpu.simulate_frame(&trace, &t);
+            let b = reference.simulate_frame(&trace, &t);
+            let mode = cfg.render_mode;
+            assert_eq!(a, b, "{mode:?} frame {i}");
+            assert_eq!(gpu.now(), reference.now(), "{mode:?} frame {i} clock");
+        }
+    }
+
+    /// An even 4×4 grid of 32-px tiles and a 33×33 target with 16-px
+    /// tiles: a 3×3 grid whose right column and bottom row are 1-px
+    /// slivers — the shard-boundary and flush-rect-clamp regression case.
+    const VIEWPORTS: [(u32, u32, u32); 2] = [(128, 128, 32), (33, 33, 16)];
+
+    #[test]
+    fn record_replay_is_thread_count_invariant_all_modes() {
+        let frames = scene();
+        for (w, h, tile) in VIEWPORTS {
+            for mode in MODES {
+                let cfg = config(mode, Viewport::new(w, h, tile));
+                megsim_exec::set_threads(1);
+                let base = run_sequence(&cfg, &frames);
+                for threads in [2, 8] {
+                    megsim_exec::set_threads(threads);
+                    let got = run_sequence(&cfg, &frames);
+                    assert_eq!(got, base, "{mode:?} {w}x{h} at {threads} threads");
+                }
+                megsim_exec::set_threads(0);
             }
         }
     }
 
     #[test]
-    fn forced_sharding_handles_trivial_frames() {
+    fn record_replay_matches_reference_all_modes_and_viewports() {
+        let frames = scene();
+        for (w, h, tile) in VIEWPORTS {
+            for mode in MODES {
+                assert_matches_reference(&config(mode, Viewport::new(w, h, tile)), &frames);
+            }
+        }
+    }
+
+    #[test]
+    fn record_replay_handles_trivial_frames() {
         // Empty frames and single-prim slivers: zero or one shard, no
         // ops to replay, flush rect on a partial tile.
         let tiny = {
@@ -639,25 +653,47 @@ mod tests {
         let frames = vec![Frame::new(), tiny, Frame::new()];
         let viewport = Viewport::new(33, 33, 16);
         for mode in MODES {
-            let base = run_sequence(mode, viewport, ShardMode::Off, &frames);
-            let got = run_sequence(mode, viewport, ShardMode::Force, &frames);
-            assert_eq!(got, base, "{mode:?}");
+            assert_matches_reference(&config(mode, viewport), &frames);
         }
     }
 
     #[test]
-    fn auto_sharding_stays_bit_identical_when_pool_active() {
-        // Auto flips the sharded path on once >1 worker thread exists;
-        // the stats must not move relative to the single-thread run.
+    fn widest_fp_array_matches_reference() {
+        // 256 FPs — the most the byte-wide FP index in the tile log
+        // holds. The layered scene deals more than 256 quads to some
+        // 32-px tile, so round-robin reaches FP 255 and wraps to FP 0.
+        let frames = scene();
+        let viewport = Viewport::new(64, 64, 32);
+        let trace = Renderer::new(RenderConfig::tbr(viewport)).render_frame(&frames[0], &shaders());
+        let busiest = trace
+            .tiles
+            .iter()
+            .map(|tile| tile.prims.iter().map(|p| p.quads.len()).sum::<usize>())
+            .max();
+        assert!(busiest > Some(256), "busiest tile deals {busiest:?} quads");
+        for mode in MODES {
+            let mut cfg = config(mode, viewport);
+            cfg.fragment_processors = 256;
+            assert_matches_reference(&cfg, &frames);
+        }
+    }
+
+    #[test]
+    fn pool_worker_frames_match_caller_thread_frames() {
+        // Inside a pool worker `shard_merge` records inline; on the
+        // caller thread at 8 threads it fans recording out. A fresh GPU
+        // per frame (the frame-parallel full-simulation shape) must
+        // give the same stats either way.
         let frames = scene();
         let viewport = Viewport::new(96, 40, 24);
         for mode in MODES {
-            megsim_exec::set_threads(1);
-            let base = run_sequence(mode, viewport, ShardMode::Auto, &frames);
+            let cfg = config(mode, viewport);
+            let fresh = |i: usize| run_sequence(&cfg, &frames[i..=i]);
             megsim_exec::set_threads(8);
-            let got = run_sequence(mode, viewport, ShardMode::Auto, &frames);
+            let caller: Vec<_> = (0..frames.len()).map(fresh).collect();
+            let pooled = megsim_exec::par_map_range(frames.len(), fresh);
             megsim_exec::set_threads(0);
-            assert_eq!(got, base, "{mode:?}");
+            assert_eq!(pooled, caller, "{mode:?}");
         }
     }
 }

@@ -4,14 +4,12 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use megsim_funcsim::FrameActivity;
 use megsim_mem::{CacheStats, MemoryStats};
 
 /// Busy cycles of each hardware unit (diagnostic breakdown; concurrent
 /// units overlap, so these do not sum to `cycles`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitBusy {
     /// Vertex Fetcher (including blocking miss stalls).
     pub vertex_fetch: u64,
@@ -55,7 +53,7 @@ impl UnitBusy {
 }
 
 /// Statistics of one simulated frame.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameStats {
     /// Total execution cycles of the frame.
     pub cycles: u64,
@@ -150,7 +148,7 @@ impl FrameStats {
 }
 
 /// Totals over a simulated frame sequence.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SequenceStats {
     /// Number of frames simulated.
     pub frames: u64,

@@ -39,7 +39,6 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use megsim_gfx::draw::{BlendMode, DrawCall, Frame};
 use megsim_gfx::geometry::Mesh;
@@ -48,7 +47,7 @@ use megsim_gfx::shader::{ShaderId, ShaderTable};
 use megsim_gfx::texture::TextureDesc;
 
 /// 2-D (sprite/orthographic) or 3-D (perspective) game.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GameType {
     /// Orthographic sprite game.
     TwoD,

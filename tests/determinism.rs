@@ -97,35 +97,23 @@ fn frame_generation_is_bit_identical_at_any_thread_count() {
     megsim_exec::set_threads(0);
 }
 
-/// Intra-frame tile sharding is bit-identical to the sequential raster
-/// loop at every thread count, in every render mode, on both an even
-/// tile grid and a 33×33 viewport whose right column and bottom row are
-/// 1-px partial tiles (the shard-boundary regression case). Sweeps the
-/// forced record/replay path and the Auto policy against a 1-thread
-/// sequential baseline over warm multi-frame state.
+/// The tile record/replay raster phase is bit-identical at every
+/// thread count, in every render mode, on both an even tile grid and a
+/// 33×33 viewport whose right column and bottom row are 1-px partial
+/// tiles (the shard-boundary regression case). Warm multi-frame runs at
+/// 2 and 8 threads (recording fanned out over the pool) are pinned to
+/// the 1-thread run (recording inline). Frames that `simulate_sequence`
+/// times inside pool workers (recording inline there) are pinned to the
+/// same frames on fresh GPUs on the caller thread at 8 threads.
 #[test]
 fn tile_sharded_timing_is_bit_identical_at_any_thread_count() {
     use megsim_funcsim::{RenderConfig, RenderMode, Renderer};
     use megsim_gfx::draw::Viewport;
-    use megsim_timing::{Gpu, ShardMode};
+    use megsim_timing::Gpu;
 
     let workload = by_alias("pvz", 0.02, 7).expect("known alias");
     let frames: Vec<_> = (0..4).map(|i| workload.frame(i)).collect();
     let shaders = workload.shaders();
-
-    let run = |mode: RenderMode, viewport: Viewport, shard: ShardMode| {
-        let mut cfg = GpuConfig::small(viewport.width, viewport.height);
-        cfg.viewport = viewport;
-        cfg.render_mode = mode;
-        let renderer = Renderer::new(RenderConfig { viewport, mode });
-        let mut gpu = Gpu::new(cfg);
-        gpu.set_shard_mode(shard);
-        let stats: Vec<FrameStats> = frames
-            .iter()
-            .map(|f| gpu.simulate_frame(&renderer.render_frame(f, shaders), shaders))
-            .collect();
-        (stats, gpu.now())
-    };
 
     for viewport in [Viewport::new(128, 128, 16), Viewport::new(33, 33, 16)] {
         for mode in [
@@ -133,25 +121,44 @@ fn tile_sharded_timing_is_bit_identical_at_any_thread_count() {
             RenderMode::TileBasedDeferred,
             RenderMode::Immediate,
         ] {
+            let mut cfg = GpuConfig::small(viewport.width, viewport.height);
+            cfg.viewport = viewport;
+            cfg.render_mode = mode;
+            let renderer = Renderer::new(RenderConfig { viewport, mode });
+            let warm = || {
+                let mut gpu = Gpu::new(cfg.clone());
+                let stats: Vec<FrameStats> = frames
+                    .iter()
+                    .map(|f| gpu.simulate_frame(&renderer.render_frame(f, shaders), shaders))
+                    .collect();
+                (stats, gpu.now())
+            };
             megsim_exec::set_threads(1);
-            let baseline = run(mode, viewport, ShardMode::Off);
-            for threads in [1usize, 2, 8] {
+            let baseline = warm();
+            for threads in [2usize, 8] {
                 megsim_exec::set_threads(threads);
-                let forced = run(mode, viewport, ShardMode::Force);
                 assert_eq!(
-                    forced, baseline,
-                    "sharded timing differs: {mode:?} {}x{} at {threads} threads",
-                    viewport.width, viewport.height
+                    warm(),
+                    baseline,
+                    "tile timing differs: {mode:?} {}x{} at {threads} threads",
+                    viewport.width,
+                    viewport.height
                 );
             }
-            megsim_exec::set_threads(8);
-            let auto = run(mode, viewport, ShardMode::Auto);
+            let pooled = simulate_sequence(frames.iter().cloned(), shaders, &cfg);
+            let caller: Vec<FrameStats> = frames
+                .iter()
+                .map(|f| {
+                    Gpu::new(cfg.clone())
+                        .simulate_frame(&renderer.render_frame(f, shaders), shaders)
+                })
+                .collect();
+            megsim_exec::set_threads(0);
             assert_eq!(
-                auto, baseline,
-                "auto-sharded timing differs: {mode:?} {}x{}",
+                pooled, caller,
+                "pool-worker tile timing differs: {mode:?} {}x{}",
                 viewport.width, viewport.height
             );
-            megsim_exec::set_threads(0);
         }
     }
 }
