@@ -536,21 +536,15 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
         .map(|r| r.frame_index)
         .collect();
     let reps = collect_frames_by_index(&path, &wanted)?;
-    // Simulate only the representatives, scale by cluster sizes. A
-    // multi-GPU scenario dispatches each representative through a fresh
-    // N-GPU rig instead of a fresh single GPU.
-    let rep_stats = match multi {
-        Some(m) => megsim_core::simulate_representatives_multi(
-            |i| reps[&i].clone(),
-            &selection,
-            &shaders,
-            &gpu,
-            m,
-        ),
-        None => {
-            megsim_core::simulate_representatives(|i| reps[&i].clone(), &selection, &shaders, &gpu)
-        }
-    };
+    // Simulate only the representatives, scale by cluster sizes: each
+    // on a fresh rig of the scenario's shape (a single GPU by default).
+    let rep_stats = megsim_core::simulate_representatives_multi(
+        |i| reps[&i].clone(),
+        &selection,
+        &shaders,
+        &gpu,
+        multi.unwrap_or_else(MultiGpuConfig::single),
+    );
     let mut estimated = megsim_timing::FrameStats::default();
     for (stats, rep) in rep_stats.iter().zip(&selection.representatives) {
         estimated.merge(&stats.scaled(rep.cluster_size as u64));

@@ -4,12 +4,19 @@
 //!
 //! Frames are embarrassingly parallel once each one gets its own GPU
 //! state, so the heavy passes ([`characterize_sequence`],
-//! [`simulate_sequence`], [`simulate_representatives`]) fan out across
-//! frames on the `megsim-exec` worker pool. Every frame's result
+//! [`simulate_sequence`], [`simulate_representatives_multi`]) fan out
+//! across frames on the `megsim-exec` worker pool. Every frame's result
 //! depends only on its index, so outputs are bit-identical at any
 //! thread count. The warm-cache ground truth
-//! ([`simulate_sequence_warm`]) is order-dependent but still overlaps
+//! ([`simulate_sequence_multi`]) is order-dependent but still overlaps
 //! rendering with timing through a bounded ordered pipeline.
+//!
+//! Timing runs on one engine, the [`MultiGpu`] rig, and a single GPU is
+//! its N = 1 shape ([`MultiGpuConfig::single`]). So
+//! [`simulate_sequence_multi`] is the one body for warm sequences and
+//! [`simulate_representatives_multi`] the one body for fresh-rig
+//! representatives; [`simulate_sequence_warm`] and
+//! [`simulate_representatives`] are their single-GPU adapters.
 //!
 //! The sequence passes consume their frames through a bounded
 //! [`megsim_exec::iter_pipeline`] rather than collecting them first, so
@@ -20,9 +27,12 @@
 //! The same independence makes per-frame results memoizable: the
 //! parallel passes consult the content-addressed [`crate::frame_cache`]
 //! so a frame that reappears — across random-sampling trials, repeated
-//! sweeps, or representative re-simulation — is simulated once.
-//! `simulate_sequence_warm` never uses the cache (its results depend on
-//! simulation order, not just frame content).
+//! sweeps, or representative re-simulation — is simulated once. A
+//! representative's key is the rig shape's
+//! ([`frame_cache::rig_stats_config_fingerprint`]): the single-GPU key
+//! for every N = 1 rig, the rig configuration mixed in for N > 1. Warm
+//! sequences never use the cache (their results depend on simulation
+//! order, not just frame content).
 
 use megsim_funcsim::{RenderConfig, Renderer};
 use megsim_gfx::draw::Frame;
@@ -177,9 +187,7 @@ pub fn simulate_sequence(
         STREAM_PIPELINE_DEPTH,
         |_, f: Frame| {
             frame_cache::stats_or_else(config_fp, &f, || {
-                let trace = renderer.render_frame(&f, shaders);
-                let mut gpu = Gpu::new(gpu_config.clone());
-                gpu.simulate_frame(&trace, shaders)
+                simulate_fresh(&renderer, &f, shaders, gpu_config, MultiGpuConfig::single())
             })
         },
         |_, s| stats.push(s),
@@ -194,40 +202,19 @@ pub fn simulate_sequence(
 const WARM_PIPELINE_DEPTH: usize = 4;
 
 /// Cycle-level simulation with memory-hierarchy state warmed across
-/// frames — the ground-truth semantics for cache-warm-up studies.
+/// frames on a single GPU — the ground-truth semantics for cache-warm-up
+/// studies: [`simulate_sequence_multi`] on the single-GPU rig.
 ///
 /// Timing is inherently order-dependent (one GPU state threads through
-/// every frame), but functional rendering is not: the source stage
-/// pulls (e.g. decodes) frame `N + 2` while frame `N + 1` renders on
-/// the worker pool and frame `N` runs through the timing model, via
-/// [`megsim_exec::iter_pipeline`]. The timing model consumes traces
-/// strictly in frame order on the caller thread, so the results are
-/// bit-identical to [`simulate_sequence_warm_sequential`] at every
-/// thread count — and the frame sequence is never materialized, so a
-/// streaming trace decoder replays in O(window) frame memory.
-///
-/// At the end of the sequence the device goes idle and the L2 drains:
-/// its remaining dirty lines are written back and counted on the last
-/// frame's L2 counters (idle-time writebacks).
+/// every frame), but functional rendering is not, so rendering
+/// overlaps timing and the results are bit-identical to
+/// [`simulate_sequence_warm_sequential`] at every thread count.
 pub fn simulate_sequence_warm(
     frames: impl Iterator<Item = Frame> + Send,
     shaders: &ShaderTable,
     gpu_config: &GpuConfig,
 ) -> Vec<FrameStats> {
-    let renderer = Renderer::new(RenderConfig {
-        viewport: gpu_config.viewport,
-        mode: gpu_config.render_mode,
-    });
-    let mut gpu = Gpu::new(gpu_config.clone());
-    let mut stats = Vec::new();
-    megsim_exec::iter_pipeline(
-        frames,
-        WARM_PIPELINE_DEPTH,
-        |_, f: Frame| renderer.render_frame(&f, shaders),
-        |_, trace| stats.push(gpu.simulate_frame(&trace, shaders)),
-    );
-    drain_idle_l2(&mut gpu, &mut stats);
-    stats
+    simulate_sequence_multi(frames, shaders, gpu_config, MultiGpuConfig::single()).0
 }
 
 /// The plain single-threaded warm loop — the pipelined
@@ -248,14 +235,13 @@ pub fn simulate_sequence_warm_sequential(
             gpu.simulate_frame(&trace, shaders)
         })
         .collect();
-    drain_idle_l2(&mut gpu, &mut stats);
+    drain_idle_l2(gpu.drain_l2(), &mut stats);
     stats
 }
 
-/// End-of-sequence L2 drain: attributes the writebacks of the lines
+/// End-of-sequence L2 drain: attributes the `writebacks` of the lines
 /// still dirty when the device goes idle to the last frame.
-fn drain_idle_l2(gpu: &mut Gpu, stats: &mut [FrameStats]) {
-    let writebacks = gpu.drain_l2();
+fn drain_idle_l2(writebacks: u64, stats: &mut [FrameStats]) {
     if let Some(last) = stats.last_mut() {
         last.memory.l2.writebacks += writebacks;
     }
@@ -267,14 +253,18 @@ fn drain_idle_l2(gpu: &mut Gpu, stats: &mut [FrameStats]) {
 /// or private memory topology, with interconnect transfers to the
 /// display GPU modeled per link.
 ///
-/// Rendering overlaps timing through the same bounded ordered pipeline
-/// as [`simulate_sequence_warm`]; the rig consumes traces strictly in
-/// frame order on the caller thread, so results are bit-identical at
-/// every thread count — and a single-GPU rig is bit-identical to
-/// [`simulate_sequence_warm`] itself. At the end of the sequence every
-/// back end's L2 drains onto the last frame's counters, and the rig's
-/// cumulative [`MultiGpuReport`] (frames per GPU, link traffic) is
-/// returned alongside the per-frame statistics.
+/// The source stage pulls (e.g. decodes) frame `N + 2` while frame
+/// `N + 1` renders on the worker pool and frame `N` runs through the
+/// rig, via [`megsim_exec::iter_pipeline`]. The rig consumes traces
+/// strictly in frame order on the caller thread, so results are
+/// bit-identical at every thread count — and the frame sequence is
+/// never materialized, so a streaming trace decoder replays in
+/// O(window) frame memory. At the end of the sequence the device goes
+/// idle and every back end's L2 drains: the remaining dirty lines are
+/// written back and counted on the last frame's L2 counters
+/// (idle-time writebacks). The rig's cumulative [`MultiGpuReport`]
+/// (frames per GPU, link traffic) is returned alongside the per-frame
+/// statistics.
 pub fn simulate_sequence_multi(
     frames: impl Iterator<Item = Frame> + Send,
     shaders: &ShaderTable,
@@ -293,24 +283,22 @@ pub fn simulate_sequence_multi(
         |_, f: Frame| renderer.render_frame(&f, shaders),
         |_, trace| stats.push(rig.simulate_frame(&trace, shaders)),
     );
-    let writebacks = rig.drain_l2();
-    if let Some(last) = stats.last_mut() {
-        last.memory.l2.writebacks += writebacks;
-    }
+    drain_idle_l2(rig.drain_l2(), &mut stats);
     (stats, rig.report())
 }
 
 /// Simulates only the selected representative frames on *fresh* N-GPU
-/// rigs — the MEGsim deployment story on a multi-GPU scenario: each
+/// rigs — the MEGsim deployment story, on any rig shape: each
 /// representative frame is dispatched through the rig exactly as frame
 /// 0 of a sequence would be, and its statistics are scaled by cluster
-/// size to estimate the full-sequence totals.
+/// size to estimate the full-sequence totals. Representatives are
+/// independent, so they fan out on the worker pool. Returns each
+/// representative's statistics, in selection order.
 ///
-/// Unlike [`simulate_representatives`], results are **not** routed
-/// through the content-addressed frame cache: the cache key fingerprints
-/// only the GPU configuration, not the rig shape, and a cached
-/// single-GPU result must never be returned for a split-frame rig (or
-/// vice versa).
+/// Results go through the content-addressed frame cache under the rig
+/// shape's key ([`frame_cache::rig_stats_config_fingerprint`]): every
+/// single-GPU rig shares the single-GPU entries, and a cached result
+/// of one N > 1 shape is never returned for another.
 pub fn simulate_representatives_multi(
     frame_of: impl Fn(usize) -> Frame + Sync,
     selection: &Selection,
@@ -322,37 +310,43 @@ pub fn simulate_representatives_multi(
         viewport: gpu_config.viewport,
         mode: gpu_config.render_mode,
     });
+    let config_fp = frame_cache::rig_stats_config_fingerprint(gpu_config, &multi, shaders);
     megsim_exec::par_map_indexed(&selection.representatives, |_, rep| {
-        let trace = renderer.render_frame(&frame_of(rep.frame_index), shaders);
-        let mut rig = MultiGpu::new(gpu_config.clone(), multi);
-        rig.simulate_frame(&trace, shaders)
+        let frame = frame_of(rep.frame_index);
+        frame_cache::stats_or_else(config_fp, &frame, || {
+            simulate_fresh(&renderer, &frame, shaders, gpu_config, multi)
+        })
     })
 }
 
-/// Simulates only the selected representative frames, each on a *fresh*
-/// GPU — what a real MEGsim deployment runs instead of the full
-/// sequence. Representatives are independent, so they fan out on the
-/// worker pool. Returns each representative's statistics, in selection
-/// order.
+/// [`simulate_representatives_multi`] on single GPUs — what a real
+/// MEGsim deployment runs instead of the full sequence.
 pub fn simulate_representatives(
     frame_of: impl Fn(usize) -> Frame + Sync,
     selection: &Selection,
     shaders: &ShaderTable,
     gpu_config: &GpuConfig,
 ) -> Vec<FrameStats> {
-    let renderer = Renderer::new(RenderConfig {
-        viewport: gpu_config.viewport,
-        mode: gpu_config.render_mode,
-    });
-    let config_fp = frame_cache::stats_config_fingerprint(gpu_config, shaders);
-    megsim_exec::par_map_indexed(&selection.representatives, |_, rep| {
-        let frame = frame_of(rep.frame_index);
-        frame_cache::stats_or_else(config_fp, &frame, || {
-            let trace = renderer.render_frame(&frame, shaders);
-            let mut gpu = Gpu::new(gpu_config.clone());
-            gpu.simulate_frame(&trace, shaders)
-        })
-    })
+    simulate_representatives_multi(
+        frame_of,
+        selection,
+        shaders,
+        gpu_config,
+        MultiGpuConfig::single(),
+    )
+}
+
+/// Renders `frame` and simulates it on a fresh (cold) rig of shape
+/// `multi` — the unit of the frame-parallel passes.
+fn simulate_fresh(
+    renderer: &Renderer,
+    frame: &Frame,
+    shaders: &ShaderTable,
+    gpu_config: &GpuConfig,
+    multi: MultiGpuConfig,
+) -> FrameStats {
+    let trace = renderer.render_frame(frame, shaders);
+    MultiGpu::new(gpu_config.clone(), multi).simulate_frame(&trace, shaders)
 }
 
 /// Result of one full MEGsim accuracy experiment on one workload.

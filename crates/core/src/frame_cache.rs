@@ -7,11 +7,12 @@
 //! freshly reset GPU — a frame's [`FrameActivity`] is a pure function
 //! of `(frame content, render config, shader table)` and its
 //! [`FrameStats`] a pure function of `(frame content, GPU config,
-//! shader table)`. That purity is exactly what makes memoization sound:
-//! this module hashes the full frame content (meshes, transforms,
-//! shader bindings, textures, blend/depth state) together with the
-//! config into a 128-bit key, and caches results process-wide in
-//! [`megsim_exec::ConcurrentCache`] instances.
+//! shader table)`, plus the rig shape on a multi-GPU rig
+//! ([`rig_stats_config_fingerprint`]). That purity is exactly what
+//! makes memoization sound: this module hashes the full frame content
+//! (meshes, transforms, shader bindings, textures, blend/depth state)
+//! together with the config into a 128-bit key, and caches results
+//! process-wide in [`megsim_exec::ConcurrentCache`] instances.
 //!
 //! The caches are transparent by construction — a hit returns a value
 //! that recomputation would reproduce bit for bit, so enabling or
@@ -58,7 +59,7 @@ use megsim_gfx::draw::{BlendMode, DrawCall, Frame};
 use megsim_gfx::geometry::Mesh;
 use megsim_gfx::shader::ShaderTable;
 use megsim_store::{codec, Store, StoreStats};
-use megsim_timing::{FrameStats, GpuConfig};
+use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 
 use parking_lot::Mutex;
 
@@ -635,6 +636,28 @@ pub fn stats_config_fingerprint(config: &GpuConfig, shaders: &ShaderTable) -> u1
     let mut fp = Fingerprint::new();
     fp.write_u64(0x53544154); // "STAT" domain tag
     fp.write_bytes(format!("{config:?}|{shaders:?}").as_bytes());
+    fp.finish()
+}
+
+/// The timing-result key of a rig shape: [`stats_config_fingerprint`]
+/// itself for a single GPU — every N = 1 rig, whatever its dispatch,
+/// topology and link, runs the single-GPU frame with no transfer, so it
+/// shares the single-GPU entries — and the rig configuration mixed in
+/// for N > 1, so one rig shape's result is never returned for another.
+pub fn rig_stats_config_fingerprint(
+    config: &GpuConfig,
+    multi: &MultiGpuConfig,
+    shaders: &ShaderTable,
+) -> u128 {
+    let single = stats_config_fingerprint(config, shaders);
+    if multi.gpus == 1 {
+        return single;
+    }
+    let mut fp = Fingerprint::new();
+    fp.write_u64(0x52494753); // "RIGS" domain tag
+    fp.write_u64((single >> 64) as u64);
+    fp.write_u64(single as u64);
+    fp.write_bytes(format!("{multi:?}").as_bytes());
     fp.finish()
 }
 

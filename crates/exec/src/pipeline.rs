@@ -424,42 +424,6 @@ where
     acc
 }
 
-/// Shards `0..n` into fixed `chunk`-sized ranges, maps each range on
-/// the worker pool, and merges the results **in shard order** on the
-/// caller thread — the record/replay shape of intra-frame parallel
-/// timing: shard workers record independent per-tile logs while the
-/// caller replays completed shards against shared stateful machinery
-/// (caches, DRAM), with producers running at most `capacity` shards
-/// ahead of the merge.
-///
-/// Shard boundaries depend only on `n` and `chunk`, and the merge
-/// observes shards in ascending index order on one thread, so the
-/// merged result is bit-identical to the sequential
-/// `map → merge` loop at every thread count *and* every chunk size
-/// whose per-shard map is itself chunk-independent (a pure map over
-/// the range's items). Built on [`ordered_pipeline`], so the map stage
-/// overlaps the merge of earlier shards instead of barriering.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero; panics in `map`/`merge` propagate.
-pub fn shard_merge<T, M, F>(n: usize, chunk: usize, capacity: usize, map: M, mut merge: F)
-where
-    T: Send,
-    M: Fn(std::ops::Range<usize>) -> T + Sync,
-    F: FnMut(std::ops::Range<usize>, T),
-{
-    assert!(chunk > 0, "shard size must be positive");
-    let shards = n.div_ceil(chunk);
-    let range_of = |s: usize| s * chunk..((s + 1) * chunk).min(n);
-    ordered_pipeline(
-        shards,
-        capacity,
-        |s| map(range_of(s)),
-        |s, item| merge(range_of(s), item),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,59 +544,6 @@ mod tests {
         assert_eq!(collect(0, 4), Vec::<u64>::new());
         assert_eq!(collect(1, 4).len(), 1);
         assert_eq!(collect(64, 1).len(), 64); // capacity 1: lock-step
-        set_threads(0);
-    }
-
-    #[test]
-    fn shard_merge_covers_ranges_in_order_at_any_thread_count() {
-        let _guard = OVERRIDE_LOCK.lock();
-        let run = |threads: usize| {
-            set_threads(threads);
-            // Order-sensitive merge over per-shard partial sums: the
-            // stateful-replay shape of sharded timing.
-            let mut folded = 0u64;
-            let mut seen: Vec<std::ops::Range<usize>> = Vec::new();
-            shard_merge(
-                103,
-                8,
-                4,
-                |r| r.map(|i| (i as u64).wrapping_mul(31)).sum::<u64>(),
-                |r, sum: u64| {
-                    folded = folded.rotate_left(7) ^ sum;
-                    seen.push(r);
-                },
-            );
-            set_threads(0);
-            (folded, seen)
-        };
-        let (baseline, ranges) = run(1);
-        assert_eq!(ranges.len(), 13);
-        assert_eq!(ranges[0], 0..8);
-        assert_eq!(ranges[12], 96..103);
-        for threads in [2, 8] {
-            assert_eq!(run(threads).0, baseline, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn shard_merge_handles_empty_and_single() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
-        let mut calls = 0;
-        shard_merge(0, 4, 2, |r| r.len(), |_, _| calls += 1);
-        assert_eq!(calls, 0);
-        shard_merge(
-            3,
-            8,
-            2,
-            |r| r.len(),
-            |r, len| {
-                calls += 1;
-                assert_eq!(r, 0..3);
-                assert_eq!(len, 3);
-            },
-        );
-        assert_eq!(calls, 1);
         set_threads(0);
     }
 

@@ -27,8 +27,6 @@
 
 use std::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 use megsim_gfx::draw::BlendMode;
 use megsim_gfx::shader::{ShaderKind, TextureFilter};
 
@@ -101,15 +99,15 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Appends a LEB128 varint.
-pub(crate) fn put_varint(out: &mut BytesMut, mut v: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            out.put_u8(byte);
+            out.push(byte);
             return;
         }
-        out.put_u8(byte | 0x80);
+        out.push(byte | 0x80);
     }
 }
 
@@ -124,7 +122,7 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 }
 
 /// Appends a zigzag-encoded signed varint.
-fn put_signed(out: &mut BytesMut, v: i64) {
+fn put_signed(out: &mut Vec<u8>, v: i64) {
     put_varint(out, zigzag(v));
 }
 
@@ -147,18 +145,18 @@ pub(crate) fn matrix_delta_from_wire(v: u64, prev: u32) -> Option<u32> {
 
 /// Serializes a stream in the frozen v1 format (the golden-corpus
 /// bytes).
-pub fn encode(stream: &CommandStream) -> Bytes {
-    let mut out = BytesMut::with_capacity(64 + stream.commands.len() * 16);
-    out.put_slice(MAGIC);
-    out.put_u16_le(FORMAT_VERSION);
-    out.put_u64_le(stream.commands.len() as u64);
+pub fn encode(stream: &CommandStream) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + stream.commands.len() * 16);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(stream.commands.len() as u64).to_le_bytes());
     for cmd in &stream.commands {
-        out.put_u8(cmd.opcode());
+        out.push(cmd.opcode());
         match cmd {
             Command::BufferData { id, mesh } => {
-                out.put_u32_le(id.0);
-                out.put_u64_le(mesh.base_address);
-                out.put_u32_le(mesh.vertices.len() as u32);
+                out.extend_from_slice(&id.0.to_le_bytes());
+                out.extend_from_slice(&mesh.base_address.to_le_bytes());
+                out.extend_from_slice(&(mesh.vertices.len() as u32).to_le_bytes());
                 for v in &mesh.vertices {
                     for f in [
                         v.position.x,
@@ -170,58 +168,58 @@ pub fn encode(stream: &CommandStream) -> Bytes {
                         v.uv.x,
                         v.uv.y,
                     ] {
-                        out.put_f32_le(f);
+                        out.extend_from_slice(&f.to_le_bytes());
                     }
                 }
-                out.put_u32_le(mesh.indices.len() as u32);
+                out.extend_from_slice(&(mesh.indices.len() as u32).to_le_bytes());
                 for &i in &mesh.indices {
-                    out.put_u32_le(i);
+                    out.extend_from_slice(&i.to_le_bytes());
                 }
             }
             Command::TexImage(t) => {
-                out.put_u32_le(t.id.0);
-                out.put_u32_le(t.width);
-                out.put_u32_le(t.height);
-                out.put_u32_le(t.bytes_per_texel);
-                out.put_u64_le(t.base_address);
+                out.extend_from_slice(&t.id.0.to_le_bytes());
+                out.extend_from_slice(&t.width.to_le_bytes());
+                out.extend_from_slice(&t.height.to_le_bytes());
+                out.extend_from_slice(&t.bytes_per_texel.to_le_bytes());
+                out.extend_from_slice(&t.base_address.to_le_bytes());
             }
             Command::ProgramData(p) => {
-                out.put_u32_le(p.id.0);
-                out.put_u8(shader_kind_tag(p.kind));
+                out.extend_from_slice(&p.id.0.to_le_bytes());
+                out.push(shader_kind_tag(p.kind));
                 let name = p.name.as_bytes();
-                out.put_u16_le(name.len() as u16);
-                out.put_slice(name);
-                out.put_u32_le(p.alu_instructions);
-                out.put_u16_le(p.texture_samples.len() as u16);
+                out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+                out.extend_from_slice(name);
+                out.extend_from_slice(&p.alu_instructions.to_le_bytes());
+                out.extend_from_slice(&(p.texture_samples.len() as u16).to_le_bytes());
                 for f in &p.texture_samples {
-                    out.put_u8(filter_tag(*f));
+                    out.push(filter_tag(*f));
                 }
             }
             Command::UseProgram { vertex, fragment } => {
-                out.put_u32_le(vertex.0);
-                out.put_u32_le(fragment.0);
+                out.extend_from_slice(&vertex.0.to_le_bytes());
+                out.extend_from_slice(&fragment.0.to_le_bytes());
             }
             Command::BindTexture(t) => match t {
                 Some(id) => {
-                    out.put_u8(1);
-                    out.put_u32_le(id.0);
+                    out.push(1);
+                    out.extend_from_slice(&id.0.to_le_bytes());
                 }
-                None => out.put_u8(0),
+                None => out.push(0),
             },
             Command::UniformMatrix(m) => {
                 for col in &m.cols {
                     for f in [col.x, col.y, col.z, col.w] {
-                        out.put_f32_le(f);
+                        out.extend_from_slice(&f.to_le_bytes());
                     }
                 }
             }
-            Command::Blend(b) => out.put_u8(blend_tag(*b)),
-            Command::DepthTest(d) => out.put_u8(u8::from(*d)),
-            Command::Draw(id) => out.put_u32_le(id.0),
+            Command::Blend(b) => out.push(blend_tag(*b)),
+            Command::DepthTest(d) => out.push(u8::from(*d)),
+            Command::Draw(id) => out.extend_from_slice(&id.0.to_le_bytes()),
             Command::SwapBuffers => {}
         }
     }
-    out.freeze()
+    out
 }
 
 /// Serializes a stream in the varint v2 format.
@@ -235,10 +233,10 @@ pub fn encode(stream: &CommandStream) -> Bytes {
 /// elements follow as varints of their byte-swapped XOR deltas
 /// ([`matrix_delta_to_wire`] — lossless, with the structural zeros and
 /// repeated entries that dominate transforms costing nothing).
-pub fn encode_v2(stream: &CommandStream) -> Bytes {
-    let mut out = BytesMut::with_capacity(64 + stream.commands.len() * 8);
-    out.put_slice(MAGIC);
-    out.put_u16_le(FORMAT_VERSION_V2);
+pub fn encode_v2(stream: &CommandStream) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + stream.commands.len() * 8);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION_V2.to_le_bytes());
     put_varint(&mut out, stream.commands.len() as u64);
     // Delta state: base addresses of consecutive uploads of the same
     // resource kind are monotone in practice (the workloads lay
@@ -251,7 +249,7 @@ pub fn encode_v2(stream: &CommandStream) -> Bytes {
     // elements entirely.
     let mut last_matrix = [0u32; 16];
     for cmd in &stream.commands {
-        out.put_u8(cmd.opcode());
+        out.push(cmd.opcode());
         match cmd {
             Command::BufferData { id, mesh } => {
                 put_varint(&mut out, u64::from(id.0));
@@ -272,7 +270,7 @@ pub fn encode_v2(stream: &CommandStream) -> Bytes {
                         v.uv.x,
                         v.uv.y,
                     ] {
-                        out.put_f32_le(f);
+                        out.extend_from_slice(&f.to_le_bytes());
                     }
                 }
                 put_varint(&mut out, mesh.indices.len() as u64);
@@ -292,14 +290,14 @@ pub fn encode_v2(stream: &CommandStream) -> Bytes {
             }
             Command::ProgramData(p) => {
                 put_varint(&mut out, u64::from(p.id.0));
-                out.put_u8(shader_kind_tag(p.kind));
+                out.push(shader_kind_tag(p.kind));
                 let name = p.name.as_bytes();
                 put_varint(&mut out, name.len() as u64);
-                out.put_slice(name);
+                out.extend_from_slice(name);
                 put_varint(&mut out, u64::from(p.alu_instructions));
                 put_varint(&mut out, p.texture_samples.len() as u64);
                 for f in &p.texture_samples {
-                    out.put_u8(filter_tag(*f));
+                    out.push(filter_tag(*f));
                 }
             }
             Command::UseProgram { vertex, fragment } => {
@@ -308,10 +306,10 @@ pub fn encode_v2(stream: &CommandStream) -> Bytes {
             }
             Command::BindTexture(t) => match t {
                 Some(id) => {
-                    out.put_u8(1);
+                    out.push(1);
                     put_varint(&mut out, u64::from(id.0));
                 }
-                None => out.put_u8(0),
+                None => out.push(0),
             },
             Command::UniformMatrix(m) => {
                 let mut bits = [0u32; 16];
@@ -326,7 +324,7 @@ pub fn encode_v2(stream: &CommandStream) -> Bytes {
                         mask |= 1 << i;
                     }
                 }
-                out.put_u16_le(mask);
+                out.extend_from_slice(&mask.to_le_bytes());
                 for (i, &b) in bits.iter().enumerate() {
                     if b != last_matrix[i] {
                         put_varint(&mut out, matrix_delta_to_wire(b, last_matrix[i]));
@@ -334,18 +332,18 @@ pub fn encode_v2(stream: &CommandStream) -> Bytes {
                     }
                 }
             }
-            Command::Blend(b) => out.put_u8(blend_tag(*b)),
-            Command::DepthTest(d) => out.put_u8(u8::from(*d)),
+            Command::Blend(b) => out.push(blend_tag(*b)),
+            Command::DepthTest(d) => out.push(u8::from(*d)),
             Command::Draw(id) => put_varint(&mut out, u64::from(id.0)),
             Command::SwapBuffers => {}
         }
     }
-    out.freeze()
+    out
 }
 
 /// Serializes a stream in the given wire version (1 or 2); returns
 /// `None` for unknown versions.
-pub fn encode_with_version(stream: &CommandStream, version: u16) -> Option<Bytes> {
+pub fn encode_with_version(stream: &CommandStream, version: u16) -> Option<Vec<u8>> {
     match version {
         FORMAT_VERSION => Some(encode(stream)),
         FORMAT_VERSION_V2 => Some(encode_v2(stream)),
@@ -465,12 +463,12 @@ mod tests {
     fn encode_with_version_dispatches() {
         let stream = sample_stream();
         assert_eq!(
-            encode_with_version(&stream, 1).expect("v1").as_ref(),
-            encode(&stream).as_ref()
+            encode_with_version(&stream, 1).expect("v1"),
+            encode(&stream)
         );
         assert_eq!(
-            encode_with_version(&stream, 2).expect("v2").as_ref(),
-            encode_v2(&stream).as_ref()
+            encode_with_version(&stream, 2).expect("v2"),
+            encode_v2(&stream)
         );
         assert!(encode_with_version(&stream, 3).is_none());
     }
@@ -480,7 +478,7 @@ mod tests {
         for v in [0i64, 1, -1, 63, -64, 300, -300, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
             put_varint(&mut out, v);
         }
@@ -496,7 +494,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_version() {
-        let mut bytes = encode(&sample_stream()).to_vec();
+        let mut bytes = encode(&sample_stream());
         bytes[4] = 0xFF;
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err.kind, DecodeErrorKind::BadVersion(_)));
@@ -521,7 +519,7 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_opcode() {
-        let mut bytes = encode(&sample_stream()).to_vec();
+        let mut bytes = encode(&sample_stream());
         // First opcode byte follows the 14-byte header.
         bytes[14] = 0xEE;
         let err = decode(&bytes).unwrap_err();

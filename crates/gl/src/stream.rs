@@ -685,7 +685,7 @@ mod tests {
     fn stream_decoder_matches_materialized_decode() {
         let stream = sample_stream();
         for bytes in [encode(&stream), encode_v2(&stream)] {
-            let commands: Vec<Command> = StreamDecoder::new(bytes.as_ref())
+            let commands: Vec<Command> = StreamDecoder::new(bytes.as_slice())
                 .expect("header")
                 .map(|c| c.expect("command"))
                 .collect();
@@ -698,7 +698,7 @@ mod tests {
         let stream = sample_stream();
         let replay = play(&stream).expect("plays");
         for bytes in [encode(&stream), encode_v2(&stream)] {
-            let mut iter = FrameIter::new(bytes.as_ref()).expect("header");
+            let mut iter = FrameIter::new(bytes.as_slice()).expect("header");
             assert_eq!(iter.shaders().vertex_count(), replay.shaders.vertex_count());
             assert_eq!(
                 iter.shaders().fragment_count(),
@@ -729,7 +729,7 @@ mod tests {
         });
         s.commands.push(Command::Draw(BufferId(9)));
         let bytes = encode(&s);
-        let mut iter = FrameIter::new(bytes.as_ref()).expect("header");
+        let mut iter = FrameIter::new(bytes.as_slice()).expect("header");
         let err = iter.next().expect("yields error").unwrap_err();
         assert_eq!(err, TraceError::Play(PlayError::UnknownBuffer(BufferId(9))));
         assert!(iter.next().is_none(), "iterator fuses after an error");
@@ -761,7 +761,7 @@ mod tests {
     fn byte_offset_tracks_consumption() {
         let stream = sample_stream();
         let bytes = encode(&stream);
-        let mut dec = StreamDecoder::new(bytes.as_ref()).expect("header");
+        let mut dec = StreamDecoder::new(bytes.as_slice()).expect("header");
         assert_eq!(dec.byte_offset(), 14); // magic + version + count
         while dec.next_command().is_some() {}
         assert_eq!(dec.byte_offset(), bytes.len() as u64);

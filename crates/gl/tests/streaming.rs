@@ -43,9 +43,7 @@ fn recorded_bytes(version: u16) -> Vec<u8> {
     let workload = by_alias("hcr", 0.005, 1).expect("known alias");
     let frames: Vec<Frame> = (0..6).map(|i| workload.frame(i)).collect();
     let stream = record_sequence(workload.shaders(), &frames);
-    encode_with_version(&stream, version)
-        .expect("supported version")
-        .to_vec()
+    encode_with_version(&stream, version).expect("supported version")
 }
 
 #[test]

@@ -16,6 +16,15 @@
 //!    (double-buffered on-chip tile memory), so the phase is the maximum
 //!    of accumulated tile work and accumulated flush traffic.
 //!
+//! # One engine
+//!
+//! There is one timing engine, the rig of [`crate::multi_gpu`]. A
+//! GPU's `FrontEnd` (L1-class caches, clocks) owns no memory: the
+//! rig's [`megsim_mem::MemoryPool`] owns every L2 + DRAM back end and
+//! lends a GPU its back end for each phase. [`Gpu`] is the
+//! single-GPU rig ([`crate::MultiGpuConfig::single`]) behind the
+//! single-GPU API.
+//!
 //! # The fast path
 //!
 //! This implementation services the address streams the units produce
@@ -32,11 +41,10 @@
 //!
 //! The raster phase is the tile record/replay of the `shard` module:
 //! pure per-tile logs (memoized texture samplers, coalesced texel
-//! runs, per-FP ALU sums) are recorded over fixed tile ranges and
-//! replayed tile-index-ascending against the caches and DRAM.
-//! Recording runs on pool workers or inline, depending on the thread
-//! count [`megsim_exec::shard_merge`] sees; the output is the same
-//! either way. The pre-optimization model is retained in
+//! runs, per-FP ALU sums) are recorded over fixed tile ranges on pool
+//! workers (or inline) and replayed in job order against the caches
+//! and DRAM on the caller thread; the output is the same either way.
+//! The pre-optimization model is retained in
 //! [`crate::timing_reference`] and pinned bit-for-bit by proptests
 //! there.
 
@@ -45,28 +53,15 @@ use megsim_gfx::shader::ShaderTable;
 use megsim_mem::{AddressSpace, Cache, MemoryHierarchy};
 
 use crate::config::GpuConfig;
-use crate::shard;
+use crate::multi_gpu::{MultiGpu, MultiGpuConfig};
 use crate::stats::{FrameStats, UnitBusy};
 
-/// The simulated GPU. Caches and DRAM state persist across frames
-/// (warm-cache simulation), while statistics are attributed per frame.
-/// The field visibility is `pub(crate)` rather than private: the
-/// multi-GPU rig ([`crate::multi_gpu`]) drives the per-GPU front end
-/// (L1 caches, clocks) directly while routing the L2 + DRAM stream
-/// through a [`megsim_mem::MemoryPool`] topology.
+/// The simulated GPU: the single-GPU rig. Caches and DRAM state
+/// persist across frames (warm-cache simulation), while statistics are
+/// attributed per frame.
 #[derive(Debug)]
 pub struct Gpu {
-    pub(crate) config: GpuConfig,
-    pub(crate) vertex_cache: Cache,
-    pub(crate) texture_caches: Vec<Cache>,
-    pub(crate) tile_cache: Cache,
-    pub(crate) memory: MemoryHierarchy,
-    /// Monotonic global cycle counter across the whole simulation.
-    pub(crate) now: u64,
-    pub(crate) frame_index: u64,
-    /// Per-FP texture-pipe clocks of the tile being replayed, reused
-    /// across tiles and frames.
-    pub(crate) tex_clock: Vec<u64>,
+    rig: MultiGpu,
 }
 
 impl Gpu {
@@ -78,6 +73,61 @@ impl Gpu {
     /// quads are dealt round-robin over at least one FP, and the tile
     /// log stores the FP index in a byte.
     pub fn new(config: GpuConfig) -> Self {
+        Self {
+            rig: MultiGpu::new(config, MultiGpuConfig::single()),
+        }
+    }
+
+    /// The machine configuration.
+    pub fn config(&self) -> &GpuConfig {
+        self.rig.gpu_config()
+    }
+
+    /// Global cycle count since construction.
+    pub fn now(&self) -> u64 {
+        self.rig.now()
+    }
+
+    /// Writes back every dirty line of the shared L2 (device idle time
+    /// at the end of a warm sequence) and returns the number of
+    /// writebacks produced. The caller attributes them to the last
+    /// simulated frame's L2 counters.
+    pub fn drain_l2(&mut self) -> u64 {
+        self.rig.drain_l2()
+    }
+
+    /// Simulates one frame from its functional trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace references shaders missing from `shaders`.
+    pub fn simulate_frame(&mut self, trace: &FrameTrace, shaders: &ShaderTable) -> FrameStats {
+        self.rig.simulate_frame(trace, shaders)
+    }
+}
+
+/// One GPU's front end: the L1-class caches and the unit clocks. It
+/// owns no memory; every L2 + DRAM access goes to the back end its rig
+/// lends it.
+#[derive(Debug)]
+pub(crate) struct FrontEnd {
+    pub(crate) vertex_cache: Cache,
+    pub(crate) texture_caches: Vec<Cache>,
+    pub(crate) tile_cache: Cache,
+    /// Monotonic global cycle counter of this GPU.
+    pub(crate) now: u64,
+    /// Per-FP texture-pipe clocks of the tile being replayed, reused
+    /// across tiles and frames.
+    pub(crate) tex_clock: Vec<u64>,
+}
+
+impl FrontEnd {
+    /// A cold front end for `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.fragment_processors` is outside `1..=256`.
+    pub(crate) fn new(config: &GpuConfig) -> Self {
         assert!(
             (1..=256).contains(&config.fragment_processors),
             "GpuConfig::fragment_processors must be in 1..=256, got {}",
@@ -89,88 +139,40 @@ impl Gpu {
                 .map(|_| Cache::new(config.texture_cache.clone()))
                 .collect(),
             tile_cache: Cache::new(config.tile_cache.clone()),
-            memory: MemoryHierarchy::new(config.l2.clone(), config.dram),
             now: 0,
-            frame_index: 0,
             tex_clock: vec![0; config.fragment_processors],
-            config,
         }
     }
 
-    /// The machine configuration.
-    pub fn config(&self) -> &GpuConfig {
-        &self.config
-    }
-
-    /// Global cycle count since construction.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Writes back every dirty line of the shared L2 (device idle time
-    /// at the end of a warm sequence) and returns the number of
-    /// writebacks produced. The caller attributes them to the last
-    /// simulated frame's L2 counters.
-    pub fn drain_l2(&mut self) -> u64 {
-        self.memory.flush_l2()
-    }
-
-    /// Simulates one frame from its functional trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace references shaders missing from `shaders`.
-    pub fn simulate_frame(&mut self, trace: &FrameTrace, shaders: &ShaderTable) -> FrameStats {
-        // Per-frame stat attribution: reset counters, keep state warm.
+    /// Per-frame stat attribution: resets the counters, keeps the state
+    /// warm.
+    pub(crate) fn reset_stats(&mut self) {
         self.vertex_cache.reset_stats();
         for c in &mut self.texture_caches {
             c.reset_stats();
         }
         self.tile_cache.reset_stats();
-        self.memory.reset_stats();
-
-        let frame_start = self.now;
-        let mut unit_busy = UnitBusy::default();
-        let geometry_cycles = self.geometry_phase(trace, frame_start, &mut unit_busy);
-        let raster_base = frame_start + geometry_cycles;
-        let (raster_cycles, color_accesses, depth_accesses) =
-            self.raster_tiles(trace, shaders, raster_base, &mut unit_busy);
-        let cycles = geometry_cycles + raster_cycles + self.config.frame_overhead_cycles;
-        self.now = frame_start + cycles;
-        self.frame_index += 1;
-
-        let mut texture_stats = megsim_mem::CacheStats::default();
-        for c in &self.texture_caches {
-            texture_stats.merge(c.stats());
-        }
-        FrameStats {
-            cycles,
-            geometry_cycles,
-            raster_cycles,
-            instructions: trace.activity.total_instructions(),
-            vertex_cache: *self.vertex_cache.stats(),
-            texture_cache: texture_stats,
-            tile_cache: *self.tile_cache.stats(),
-            memory: self.memory.stats(),
-            color_buffer_accesses: color_accesses,
-            depth_buffer_accesses: depth_accesses,
-            // Shared by reference with the trace — no deep clone of the
-            // per-shader counter vectors.
-            activity: std::sync::Arc::clone(&trace.activity),
-            unit_busy,
-        }
     }
 
-    /// Geometry Pipeline + Tiling Engine. Returns the phase duration.
-    /// Crate-visible so the multi-GPU rig can run the (duplicated)
-    /// geometry phase per GPU outside [`Self::simulate_frame`].
+    /// Adds this front end's counters to `stats`.
+    pub(crate) fn merge_stats_into(&self, stats: &mut FrameStats) {
+        stats.vertex_cache.merge(self.vertex_cache.stats());
+        for c in &self.texture_caches {
+            stats.texture_cache.merge(c.stats());
+        }
+        stats.tile_cache.merge(self.tile_cache.stats());
+    }
+
+    /// Geometry Pipeline + Tiling Engine against the back end `memory`.
+    /// Returns the phase duration.
     pub(crate) fn geometry_phase(
         &mut self,
+        cfg: &GpuConfig,
+        memory: &mut MemoryHierarchy,
         trace: &FrameTrace,
         base: u64,
         busy: &mut UnitBusy,
     ) -> u64 {
-        let cfg = &self.config;
         let vc_latency = cfg.vertex_cache.latency;
         let vc_shift = cfg.vertex_cache.line_size.trailing_zeros();
         // Unit clocks, relative to `base`.
@@ -196,12 +198,12 @@ impl Gpu {
                 vf_clock += 1;
                 let acc = self.vertex_cache.access_run(addr, false, count);
                 if let Some(wb) = acc.writeback {
-                    self.memory.access(wb, base + vf_clock, true);
+                    memory.access(wb, base + vf_clock, true);
                 }
                 if acc.hit {
                     vf_clock += vc_latency;
                 } else {
-                    let fill = self.memory.access(addr, base + vf_clock, false);
+                    let fill = memory.access(addr, base + vf_clock, false);
                     vf_clock += fill.latency;
                 }
                 vf_clock += (count - 1) * (1 + vc_latency);
@@ -244,12 +246,12 @@ impl Gpu {
                 plb_clock += 1;
                 let acc = self.tile_cache.access_run(addr, true, count);
                 if let Some(wb) = acc.writeback {
-                    self.memory.access(wb, base + plb_clock, true);
+                    memory.access(wb, base + plb_clock, true);
                 }
                 if !acc.hit {
                     // Write-allocate fill; posted writes hide up to an
                     // L2 latency of the fill before backpressure bites.
-                    let fill = self.memory.access(addr, base + plb_clock, false);
+                    let fill = memory.access(addr, base + plb_clock, false);
                     let arrival = fill.ready_at.saturating_sub(base);
                     plb_clock = (plb_clock + 1).max(arrival.saturating_sub(plb_window));
                 } else {
@@ -275,65 +277,8 @@ impl Gpu {
         // The four units pipeline against each other; the phase lasts as
         // long as the slowest, plus a pipeline-fill term bounded by the
         // vertex queue depth.
-        let fill = u64::from(self.config.vertex_queue.entries);
+        let fill = u64::from(cfg.vertex_queue.entries);
         vf_clock.max(vp_clock).max(pa_clock).max(plb_clock) + fill
-    }
-
-    /// Raster Pipeline: [`shard::record_tiles`] over fixed tile ranges
-    /// (on pool workers when more than one thread is available outside
-    /// a pool, inline otherwise), merged tile-index-ascending by
-    /// [`shard::replay_shard`] on this thread via
-    /// [`megsim_exec::shard_merge`]. Returns `(phase_cycles,
-    /// color_buffer_accesses, depth_buffer_accesses)`, bit-identical at
-    /// any thread count (pinned by the `shard` oracle tests and
-    /// `tests/determinism.rs`).
-    fn raster_tiles(
-        &mut self,
-        trace: &FrameTrace,
-        shaders: &ShaderTable,
-        base: u64,
-        busy: &mut UnitBusy,
-    ) -> (u64, u64, u64) {
-        // Field-level borrow split: the record closure shares the
-        // config/trace/shaders read-only across workers while the merge
-        // closure owns every piece of mutable memory-system state.
-        let config = &self.config;
-        let tile_cache = &mut self.tile_cache;
-        let texture_caches = &mut self.texture_caches;
-        let memory = &mut self.memory;
-        let frame_index = self.frame_index;
-        let tex_clock = &mut self.tex_clock;
-        let mut state = shard::ReplayState::default();
-        // Logs are compact; let producers run a few shards ahead so the
-        // replay never starves without buffering the whole frame.
-        let capacity = (megsim_exec::thread_count() * 2).max(4);
-        megsim_exec::shard_merge(
-            trace.tiles.len(),
-            shard::SHARD_TILES,
-            capacity,
-            |range| shard::record_tiles(trace, shaders, config, frame_index, range),
-            |_range, log| {
-                shard::replay_shard(
-                    &log,
-                    trace,
-                    config,
-                    tile_cache,
-                    texture_caches,
-                    memory,
-                    frame_index,
-                    base,
-                    busy,
-                    &mut state,
-                    tex_clock,
-                );
-            },
-        );
-        busy.flush += state.flush_clock;
-        (
-            state.raster_cycles(),
-            state.color_accesses,
-            state.depth_accesses,
-        )
     }
 }
 

@@ -1,12 +1,13 @@
-//! N-instance GPU timing behind a work distributor.
+//! N-instance GPU timing behind a work distributor — the timing engine.
 //!
-//! A [`MultiGpu`] rig owns N [`Gpu`] front ends (L1-class caches,
-//! unit clocks, scratch), a [`megsim_mem::MemoryPool`] deciding whether
-//! their L2 + DRAM back ends are shared or private
-//! ([`megsim_mem::Topology`]), and one interconnect [`megsim_mem::Link`]
-//! per worker GPU carrying finished pixels to the display GPU (GPU 0).
-//! Work is assigned by a [`WorkDistributor`] in one of two classic
-//! multi-GPU dispatch modes:
+//! A [`MultiGpu`] rig owns N per-GPU front ends (L1-class caches, unit
+//! clocks, scratch), a [`megsim_mem::MemoryPool`] that owns every
+//! L2 + DRAM back end and decides whether they are shared or private
+//! ([`megsim_mem::Topology`]), and one interconnect
+//! [`megsim_mem::Link`] per worker GPU carrying finished pixels to the
+//! display GPU (GPU 0). The single-GPU [`Gpu`](crate::Gpu) is the
+//! N = 1 rig. Work is assigned by a [`WorkDistributor`] in one of two
+//! classic multi-GPU dispatch modes:
 //!
 //! * **Alternate-frame rendering** ([`DispatchMode::AlternateFrame`]) —
 //!   frame `i` is simulated whole on GPU `i mod N`. A frame rendered
@@ -16,33 +17,46 @@
 //!   totals remain the paper's summed-cycles metric.
 //! * **Split-frame rendering** ([`DispatchMode::SplitFrame`]) — every
 //!   frame's tile array is split into N contiguous bands (halves,
-//!   quadrants, …) and each GPU rasterizes its band using the PR 6
-//!   record/replay machinery ([`crate::shard`]) as the per-GPU unit.
-//!   The geometry + tiling phase is duplicated on every GPU (no
-//!   geometry redistribution — the classic SFR cost), a barrier
-//!   separates geometry from raster, and each worker GPU ships its
-//!   band's visible pixels to GPU 0 when its raster finishes.
+//!   quadrants, …) and each GPU rasterizes its band. The geometry +
+//!   tiling phase is duplicated on every GPU (no geometry
+//!   redistribution — the classic SFR cost), a barrier separates
+//!   geometry from raster, and each worker GPU ships its band's visible
+//!   pixels to GPU 0 when its raster finishes.
+//!
+//! # One frame routine
+//!
+//! Every frame, whatever the dispatch, runs the same routine over the
+//! GPUs that take part in it and the tile band each one rasterizes — a
+//! single band for the single GPU and AFR, N bands for SFR:
+//!
+//! 1. the geometry + tiling phase on each taking-part GPU, one GPU's
+//!    whole stream after another, against the back end the pool lends
+//!    it;
+//! 2. one job list of `(gpu, range)` pairs, each band cut into
+//!    `shard::SHARD_TILES`-tile ranges and the bands interleaved
+//!    round-robin (GPU 0's first range, GPU 1's first range, …, then
+//!    the next round), run through [`megsim_exec::ordered_pipeline`]:
+//!    the *pure* `shard::record_tiles` on pool workers (or inline),
+//!    `shard::replay_shard` on the caller thread in job order;
+//! 3. the interconnect transfers of the dispatch mode, then the
+//!    per-frame statistics.
 //!
 //! # Determinism
 //!
-//! All timing-model state mutation happens on the caller thread. The
-//! only parallel stage is the *pure* [`shard::record_tiles`] fan-out
-//! (no cache, DRAM or clock is touched), so every (N, dispatch,
-//! topology) configuration is bit-identical at any worker-pool size.
-//! Under the shared topology the GPUs' access streams interleave
-//! **round-robin at a fixed granularity** — whole frames under AFR,
-//! [`shard::SHARD_TILES`]-tile shards (GPU 0's shard, GPU 1's shard, …,
-//! then the next round) under SFR — so the contended hierarchy sees one
-//! well-defined serialized stream rather than a race.
+//! All timing-model state mutation happens on the caller thread; the
+//! only parallel stage is the pure recording (no cache, DRAM or clock
+//! is touched), so every (N, dispatch, topology) configuration is
+//! bit-identical at any worker-pool size. Under the shared topology the
+//! GPUs' access streams interleave **round-robin at a fixed
+//! granularity** — whole frames under AFR, tile ranges under SFR — so
+//! the contended hierarchy sees one well-defined serialized stream
+//! rather than a race.
 //!
 //! # N = 1 bit-identity
 //!
-//! A single-GPU rig is the existing pipeline: AFR degenerates to
-//! [`Gpu::simulate_frame`] on GPU 0 with zero transfers, and SFR's
-//! band split produces the exact shard sequence of the single-GPU
-//! record/replay raster phase. The `tests/multi_gpu.rs` oracle pins
-//! both against the single-GPU warm path (and, under `--features
-//! reference`, against [`crate::ReferenceGpu`]).
+//! At N = 1 both dispatch modes take the one-band path on GPU 0 with
+//! zero transfers, so every topology gives the same output. The oracle
+//! tests pin that against the retained scalar [`crate::ReferenceGpu`].
 
 use megsim_funcsim::FrameTrace;
 use megsim_gfx::shader::ShaderTable;
@@ -50,7 +64,7 @@ use megsim_mem::{Link, LinkConfig, LinkStats, MemoryPool, Topology};
 use std::ops::Range;
 
 use crate::config::GpuConfig;
-use crate::gpu::Gpu;
+use crate::gpu::FrontEnd;
 use crate::shard;
 use crate::stats::{FrameStats, UnitBusy};
 
@@ -88,7 +102,7 @@ impl MultiGpuConfig {
         }
     }
 
-    /// The degenerate single-GPU rig (bit-identical to [`Gpu`]).
+    /// The single-GPU rig ([`Gpu`](crate::Gpu) is built on it).
     pub fn single() -> Self {
         Self::new(1, DispatchMode::AlternateFrame, Topology::Private)
     }
@@ -173,33 +187,37 @@ impl MultiGpuReport {
     }
 }
 
-/// Swaps GPU `g`'s topology-assigned back end in, runs `f`, swaps it
-/// back out — the single point where a GPU's `access_run` stream is
-/// routed through the [`MemoryPool`].
-fn with_backend<R>(
-    gpus: &mut [Gpu],
-    pool: &mut MemoryPool,
-    g: usize,
-    f: impl FnOnce(&mut Gpu) -> R,
-) -> R {
-    std::mem::swap(&mut gpus[g].memory, pool.for_gpu(g));
-    let r = f(&mut gpus[g]);
-    std::mem::swap(&mut gpus[g].memory, pool.for_gpu(g));
-    r
+/// The raster job list of one frame: `(band, range)` pairs, each band
+/// cut into [`shard::SHARD_TILES`]-tile ranges, bands interleaved
+/// round-robin one range at a time.
+fn round_robin_jobs(bands: &[Range<usize>]) -> Vec<(usize, Range<usize>)> {
+    let rounds = bands
+        .iter()
+        .map(|band| band.len().div_ceil(shard::SHARD_TILES))
+        .max()
+        .unwrap_or(0);
+    (0..rounds)
+        .flat_map(|round| {
+            bands.iter().enumerate().filter_map(move |(b, band)| {
+                let start = band.start + round * shard::SHARD_TILES;
+                (start < band.end).then(|| (b, start..(start + shard::SHARD_TILES).min(band.end)))
+            })
+        })
+        .collect()
 }
 
 /// An N-GPU timing rig: N per-GPU front ends behind a
 /// [`WorkDistributor`], over one [`MemoryPool`] and N−1 display links.
 #[derive(Debug)]
 pub struct MultiGpu {
-    config: MultiGpuConfig,
+    config: GpuConfig,
     distributor: WorkDistributor,
-    gpus: Vec<Gpu>,
+    gpus: Vec<FrontEnd>,
     pool: MemoryPool,
     links: Vec<Link>,
     frames_per_gpu: Vec<u64>,
     /// Global sequence position (drives double-buffer parity on every
-    /// GPU, like the single-GPU frame counter).
+    /// GPU).
     frame_index: u64,
 }
 
@@ -209,40 +227,28 @@ impl MultiGpu {
     /// # Panics
     ///
     /// Panics if `multi.gpus` is zero, or if `config.fragment_processors`
-    /// is outside `1..=256` (see [`Gpu::new`]).
+    /// is outside `1..=256` (see [`Gpu::new`](crate::Gpu::new)).
     pub fn new(config: GpuConfig, multi: MultiGpuConfig) -> Self {
         assert!(multi.gpus > 0, "a rig needs at least one GPU");
-        let pool = MemoryPool::new(multi.topology, multi.gpus, config.l2.clone(), config.dram);
-        let gpus: Vec<Gpu> = (0..multi.gpus).map(|_| Gpu::new(config.clone())).collect();
         Self {
             distributor: WorkDistributor::new(multi.gpus, multi.dispatch),
+            gpus: (0..multi.gpus).map(|_| FrontEnd::new(&config)).collect(),
+            pool: MemoryPool::new(multi.topology, multi.gpus, config.l2.clone(), config.dram),
             links: (0..multi.gpus).map(|_| Link::new(multi.link)).collect(),
             frames_per_gpu: vec![0; multi.gpus],
             frame_index: 0,
-            gpus,
-            pool,
-            config: multi,
+            config,
         }
     }
 
-    /// The rig configuration.
-    pub fn multi_config(&self) -> &MultiGpuConfig {
+    /// The configuration every GPU instance shares.
+    pub(crate) fn gpu_config(&self) -> &GpuConfig {
         &self.config
-    }
-
-    /// Number of GPU instances.
-    pub fn gpus(&self) -> usize {
-        self.gpus.len()
     }
 
     /// Cycle count of the furthest-ahead GPU clock.
     pub fn now(&self) -> u64 {
-        self.gpus.iter().map(Gpu::now).max().unwrap_or(0)
-    }
-
-    /// Frames dispatched so far.
-    pub fn frames(&self) -> u64 {
-        self.frame_index
+        self.gpus.iter().map(|g| g.now).max().unwrap_or(0)
     }
 
     /// Cumulative work/traffic accounting.
@@ -255,199 +261,164 @@ impl MultiGpu {
 
     /// Writes back every dirty line of every back-end L2 (device idle
     /// at sequence end) and returns the writeback total. The caller
-    /// attributes them to the last frame, as in the single-GPU path.
+    /// attributes them to the last frame.
     pub fn drain_l2(&mut self) -> u64 {
         self.pool.flush_all()
     }
 
-    /// Simulates one frame under the configured dispatch mode.
+    /// Simulates one frame under the configured dispatch mode: the
+    /// frame routine of the module docs, over GPU `i mod N` with the
+    /// whole frame as one band (AFR), or over every GPU with the
+    /// distributor's N bands (SFR).
     ///
     /// # Panics
     ///
     /// Panics if the trace references shaders missing from `shaders`.
     pub fn simulate_frame(&mut self, trace: &FrameTrace, shaders: &ShaderTable) -> FrameStats {
-        match self.distributor.dispatch() {
-            DispatchMode::AlternateFrame => self.simulate_frame_afr(trace, shaders),
-            DispatchMode::SplitFrame => self.simulate_frame_sfr(trace, shaders),
-        }
-    }
+        let dispatch = self.distributor.dispatch();
+        let tiles = trace.tiles.len();
+        // The first GPU taking part, and one tile band per GPU from it.
+        let (first, bands): (usize, Vec<Range<usize>>) = match dispatch {
+            DispatchMode::AlternateFrame => (
+                self.distributor.gpu_for_frame(self.frame_index),
+                std::iter::once(0..tiles).collect(),
+            ),
+            DispatchMode::SplitFrame => (0, self.distributor.tile_ranges(tiles)),
+        };
+        let taking_part = first..first + bands.len();
+        let config = &self.config;
+        let frame_index = self.frame_index;
 
-    /// AFR: the whole frame on GPU `i mod N`, then (away from GPU 0) a
-    /// full-framebuffer scan-out transfer over the GPU's link. The link
-    /// queue lives in the owning GPU's clock domain — only that GPU
-    /// issues on it, so back-to-back frames on one GPU queue naturally.
-    fn simulate_frame_afr(&mut self, trace: &FrameTrace, shaders: &ShaderTable) -> FrameStats {
-        let g = self.distributor.gpu_for_frame(self.frame_index);
-        self.gpus[g].frame_index = self.frame_index;
-        let mut stats = with_backend(&mut self.gpus, &mut self.pool, g, |gpu| {
-            gpu.simulate_frame(trace, shaders)
-        });
-        if g != 0 {
-            let bytes = u64::from(trace.viewport.width) * u64::from(trace.viewport.height) * 4;
-            let issue = self.gpus[g].now;
-            let t = self.links[g].transfer_bytes(bytes, issue);
-            let stall = t.ready_at - issue;
-            stats.cycles += stall;
-            self.gpus[g].now += stall;
-        }
-        self.frames_per_gpu[g] += 1;
-        self.frame_index += 1;
-        stats
-    }
-
-    /// SFR: duplicated geometry on every GPU, parallel *pure* tile
-    /// recording over each GPU's band, shard-granular round-robin
-    /// replay through each GPU's back end, then per-band region
-    /// transfers to GPU 0.
-    fn simulate_frame_sfr(&mut self, trace: &FrameTrace, shaders: &ShaderTable) -> FrameStats {
-        let n = self.gpus.len();
-        // Per-frame stat attribution, as in `Gpu::simulate_frame`.
-        for gpu in &mut self.gpus {
-            gpu.vertex_cache.reset_stats();
-            for c in &mut gpu.texture_caches {
-                c.reset_stats();
-            }
-            gpu.tile_cache.reset_stats();
-            gpu.frame_index = self.frame_index;
+        // Per-frame stat attribution: reset counters, keep state warm.
+        // Every back end resets, so the pool's summed counters are this
+        // frame's traffic alone.
+        for gpu in &mut self.gpus[taking_part.clone()] {
+            gpu.reset_stats();
         }
         self.pool.reset_stats();
 
-        // SFR advances every GPU by the same frame span, so the local
-        // clocks stay in lockstep; `frame_start` is shared.
-        let frame_start = self.gpus[0].now;
-        debug_assert!(self.gpus.iter().all(|g| g.now == frame_start));
+        // The GPUs taking part move in lockstep, so `frame_start` is
+        // shared.
+        let frame_start = self.gpus[first].now;
+        debug_assert!(self.gpus[taking_part.clone()]
+            .iter()
+            .all(|g| g.now == frame_start));
 
-        // Geometry + tiling, duplicated per GPU (round-robin through a
-        // shared back end: GPU 0's whole stream, then GPU 1's, …).
-        let mut busys = vec![UnitBusy::default(); n];
-        let mut geom = vec![0u64; n];
-        for g in 0..n {
-            geom[g] = with_backend(&mut self.gpus, &mut self.pool, g, |gpu| {
-                gpu.geometry_phase(trace, frame_start, &mut busys[g])
-            });
+        // Geometry + tiling on every GPU taking part (through a shared
+        // back end: GPU 0's whole stream, then GPU 1's, …).
+        let mut busys = vec![UnitBusy::default(); bands.len()];
+        let mut geometry_cycles = 0;
+        for (b, busy) in busys.iter_mut().enumerate() {
+            let g = first + b;
+            let cycles =
+                self.gpus[g].geometry_phase(config, self.pool.for_gpu(g), trace, frame_start, busy);
+            geometry_cycles = geometry_cycles.max(cycles);
         }
-        let geometry_cycles = geom.iter().copied().max().unwrap_or(0);
 
-        // Record (parallel, pure): each band chunked into the same
-        // SHARD_TILES shards the single-GPU raster phase uses.
-        let ranges = self.distributor.tile_ranges(trace.tiles.len());
-        let mut jobs: Vec<Range<usize>> = Vec::new();
-        let mut shards_of: Vec<Range<usize>> = Vec::with_capacity(n);
-        for band in &ranges {
-            let first = jobs.len();
-            let mut start = band.start;
-            while start < band.end {
-                let end = (start + shard::SHARD_TILES).min(band.end);
-                jobs.push(start..end);
-                start = end;
-            }
-            shards_of.push(first..jobs.len());
-        }
-        let gpu_config = &self.gpus[0].config;
-        let frame_index = self.frame_index;
-        let logs = megsim_exec::par_map_indexed(&jobs, |_, range| {
-            shard::record_tiles(trace, shaders, gpu_config, frame_index, range.clone())
-        });
-
-        // Replay (serial, deterministic): round-robin across GPUs at
-        // shard granularity — the fixed interleave that makes shared-
-        // topology contention well-defined. All GPUs raster from the
-        // post-geometry barrier.
+        // Raster: record on the workers, replay on this thread in job
+        // order. Every GPU rasters from the post-geometry barrier. Logs
+        // are compact; producers run a few jobs ahead so the replay
+        // never starves without buffering the whole frame.
         let raster_base = frame_start + geometry_cycles;
-        let mut states: Vec<shard::ReplayState> =
-            (0..n).map(|_| shard::ReplayState::default()).collect();
-        let mut cursors: Vec<usize> = shards_of.iter().map(|r| r.start).collect();
-        loop {
-            let mut replayed = false;
-            for g in 0..n {
-                if cursors[g] >= shards_of[g].end {
-                    continue;
-                }
-                let log = &logs[cursors[g]];
-                cursors[g] += 1;
-                replayed = true;
-                std::mem::swap(&mut self.gpus[g].memory, self.pool.for_gpu(g));
-                let gpu = &mut self.gpus[g];
+        let jobs = round_robin_jobs(&bands);
+        let mut states: Vec<shard::ReplayState> = bands
+            .iter()
+            .map(|_| shard::ReplayState::default())
+            .collect();
+        let capacity = (megsim_exec::thread_count() * 2).max(4);
+        megsim_exec::ordered_pipeline(
+            jobs.len(),
+            capacity,
+            |j| shard::record_tiles(trace, shaders, config, frame_index, jobs[j].1.clone()),
+            |j, log| {
+                let b = jobs[j].0;
+                let gpu = &mut self.gpus[first + b];
                 shard::replay_shard(
-                    log,
+                    &log,
                     trace,
-                    &gpu.config,
+                    config,
                     &mut gpu.tile_cache,
                     &mut gpu.texture_caches,
-                    &mut gpu.memory,
+                    self.pool.for_gpu(first + b),
                     frame_index,
                     raster_base,
-                    &mut busys[g],
-                    &mut states[g],
+                    &mut busys[b],
+                    &mut states[b],
                     &mut gpu.tex_clock,
                 );
-                std::mem::swap(&mut self.gpus[g].memory, self.pool.for_gpu(g));
-            }
-            if !replayed {
-                break;
-            }
-        }
-        for g in 0..n {
-            busys[g].flush += states[g].flush_clock;
+            },
+        );
+        for (busy, state) in busys.iter_mut().zip(&states) {
+            busy.flush += state.flush_clock;
         }
         let raster_cycles = states.iter().map(|s| s.raster_cycles()).max().unwrap_or(0);
 
-        // Region transfers: each worker GPU ships its band's visible
-        // pixels to GPU 0 the moment its own raster drains; the frame
-        // completes when compute *and* every transfer have landed.
-        let mut done = raster_base + raster_cycles;
-        for (g, state) in states.iter().enumerate().take(n).skip(1) {
-            let issue = raster_base + state.raster_cycles();
-            let t = self.links[g].transfer_bytes(state.visible_px * 4, issue);
-            done = done.max(t.ready_at);
-        }
-        let overhead = self.gpus[0].config.frame_overhead_cycles;
-        let cycles = done - frame_start + overhead;
+        // Interconnect transfers; the frame ends when compute and every
+        // transfer have landed.
+        let overhead = config.frame_overhead_cycles;
+        let end = match dispatch {
+            // AFR: away from GPU 0, a full-framebuffer scan-out after
+            // the whole frame. The link queue lives in the owning GPU's
+            // clock domain — only that GPU issues on it, so back-to-back
+            // frames on one GPU queue naturally.
+            DispatchMode::AlternateFrame => {
+                let done = raster_base + raster_cycles + overhead;
+                if first == 0 {
+                    done
+                } else {
+                    let bytes =
+                        u64::from(trace.viewport.width) * u64::from(trace.viewport.height) * 4;
+                    self.links[first].transfer_bytes(bytes, done).ready_at
+                }
+            }
+            // SFR: each worker GPU ships its band's visible pixels to
+            // GPU 0 the moment its own raster drains.
+            DispatchMode::SplitFrame => {
+                let mut done = raster_base + raster_cycles;
+                for (g, state) in states.iter().enumerate().skip(1) {
+                    let issue = raster_base + state.raster_cycles();
+                    let t = self.links[g].transfer_bytes(state.visible_px * 4, issue);
+                    done = done.max(t.ready_at);
+                }
+                done + overhead
+            }
+        };
 
-        // Advance the rig: every GPU moves in lockstep.
-        for gpu in &mut self.gpus {
-            gpu.now = frame_start + cycles;
-            gpu.frame_index = self.frame_index + 1;
-        }
-        for f in &mut self.frames_per_gpu {
-            *f += 1;
+        // Advance the GPUs taking part; they stay in lockstep.
+        for g in taking_part.clone() {
+            self.gpus[g].now = end;
+            self.frames_per_gpu[g] += 1;
         }
         self.frame_index += 1;
 
-        // Merge per-GPU front-end counters; back-end counters come from
-        // the pool (one contended hierarchy, or N private ones summed).
-        let mut vertex_stats = megsim_mem::CacheStats::default();
-        let mut texture_stats = megsim_mem::CacheStats::default();
-        let mut tile_stats = megsim_mem::CacheStats::default();
-        let mut unit_busy = UnitBusy::default();
-        for (g, gpu) in self.gpus.iter().enumerate() {
-            vertex_stats.merge(gpu.vertex_cache.stats());
-            for c in &gpu.texture_caches {
-                texture_stats.merge(c.stats());
-            }
-            tile_stats.merge(gpu.tile_cache.stats());
-            unit_busy.merge(&busys[g]);
-        }
-        FrameStats {
-            cycles,
+        // Front-end counters merge over the GPUs taking part; back-end
+        // counters come from the pool (one contended hierarchy, or N
+        // private ones summed).
+        let mut stats = FrameStats {
+            cycles: end - frame_start,
             geometry_cycles,
             raster_cycles,
             instructions: trace.activity.total_instructions(),
-            vertex_cache: vertex_stats,
-            texture_cache: texture_stats,
-            tile_cache: tile_stats,
             memory: self.pool.stats(),
             color_buffer_accesses: states.iter().map(|s| s.color_accesses).sum(),
             depth_buffer_accesses: states.iter().map(|s| s.depth_accesses).sum(),
+            // Shared by reference with the trace — no deep clone of the
+            // per-shader counter vectors.
             activity: std::sync::Arc::clone(&trace.activity),
-            unit_busy,
+            ..FrameStats::default()
+        };
+        for (gpu, busy) in self.gpus[taking_part].iter().zip(&busys) {
+            gpu.merge_stats_into(&mut stats);
+            stats.unit_busy.merge(busy);
         }
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing_reference::ReferenceGpu;
     use megsim_funcsim::{RenderConfig, RenderMode, Renderer};
     use megsim_gfx::draw::{BlendMode, DrawCall, Frame, Viewport};
     use megsim_gfx::geometry::{Mesh, Vertex};
@@ -531,13 +502,15 @@ mod tests {
         (stats, now, rig.report())
     }
 
+    /// The single-GPU baseline, from the retained scalar model: an
+    /// oracle that shares no code with the rig.
     fn run_single(mode: RenderMode, viewport: Viewport) -> (Vec<FrameStats>, u64) {
         let t = shaders();
         let mut cfg = GpuConfig::small(viewport.width, viewport.height);
         cfg.viewport = viewport;
         cfg.render_mode = mode;
         let renderer = Renderer::new(RenderConfig { viewport, mode });
-        let mut gpu = Gpu::new(cfg);
+        let mut gpu = ReferenceGpu::new(cfg);
         let stats = scene()
             .iter()
             .map(|f| gpu.simulate_frame(&renderer.render_frame(f, &t), &t))

@@ -3,8 +3,8 @@
 //!
 //! Tiles are independent through the FP-array raster pipeline — only
 //! the shared memory system (tile cache, per-FP texture caches, L2,
-//! DRAM) couples them. `Gpu::simulate_frame` therefore runs its tile
-//! loop in two stages:
+//! DRAM) couples them. The rig's frame routine ([`crate::multi_gpu`])
+//! therefore runs its tile loop in two stages:
 //!
 //! 1. **Record** (pure, parallel when threads allow): shard workers
 //!    walk disjoint tile ranges and do everything that does not touch
@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn pool_worker_frames_match_caller_thread_frames() {
-        // Inside a pool worker `shard_merge` records inline; on the
+        // Inside a pool worker the frame routine records inline; on the
         // caller thread at 8 threads it fans recording out. A fresh GPU
         // per frame (the frame-parallel full-simulation shape) must
         // give the same stats either way.
