@@ -1,20 +1,26 @@
 //! Subcommand implementations of the `megsim` tool.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
 use std::io::BufReader;
 
 use megsim_bench::report;
-use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate_sequence};
-use megsim_core::pipeline::{select_representatives, MegsimConfig, StreamClusterConfig};
-use megsim_core::{metric_errors, sequence_totals, FeatureMatrix, StreamSelection};
+use megsim_core::evaluate::{
+    characterize_sequence, characterize_stream, simulate_representatives_multi, simulate_sequence,
+    simulate_sequence_multi,
+};
+use megsim_core::pipeline::{select_representatives, MegsimConfig, Selection, StreamClusterConfig};
+use megsim_core::{
+    estimate_totals, metric_errors, sequence_totals, BatchJob, BatchOp, FeatureMatrix,
+};
 use megsim_gfx::draw::Frame;
 use megsim_gfx::shader::{ShaderKind, ShaderTable};
 use megsim_gl::{
-    encode_with_version, record_sequence, Command, FrameIter, StreamDecoder, TraceError,
-    FORMAT_VERSION,
+    encode_with_version, record_sequence, Command, FrameIter, StreamDecoder, FORMAT_VERSION,
 };
-use megsim_timing::{DispatchMode, GpuConfig, MultiGpuConfig, Topology};
+use megsim_timing::{
+    DispatchMode, FrameStats, GpuConfig, MultiGpuConfig, MultiGpuReport, Topology,
+};
 
 const USAGE: &str = "\
 usage: megsim <command> [options]
@@ -73,6 +79,9 @@ global options:
                0 = unbounded exact mode, bitwise identical to the
                two-pass path) and --stream-batch N sets the mini-batch
                size (default 256)";
+
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: &str = "threads no-frame-cache cache-dir no-persist";
 
 /// Dispatches a full argv (including program name).
 pub fn run(argv: &[String]) -> Result<(), String> {
@@ -151,7 +160,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 struct Options {
     command: String,
     positional: Vec<String>,
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
     bools: Vec<String>,
 }
 
@@ -162,7 +171,7 @@ impl Options {
         // its relative meaning.
         let mut command = String::new();
         let mut positional = Vec::new();
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         let mut bools = Vec::new();
         let rest: Vec<&String> = argv.iter().skip(1).collect();
         let mut i = 0;
@@ -199,6 +208,21 @@ impl Options {
         })
     }
 
+    /// Rejects a flag named neither in `flags` (the subcommand's,
+    /// space-separated) nor in [`GLOBAL_FLAGS`], and any positional
+    /// argument beyond the subcommand's `positional`.
+    fn accept(&self, flags: &str, positional: usize) -> Result<(), String> {
+        let known: Vec<&str> = GLOBAL_FLAGS.split(' ').chain(flags.split(' ')).collect();
+        let mut names = self.bools.iter().chain(self.flags.keys());
+        if let Some(name) = names.find(|n| !known.contains(&n.as_str())) {
+            return Err(format!("unknown option --{name}"));
+        }
+        match self.positional.get(positional) {
+            Some(extra) => Err(format!("unexpected argument '{extra}'")),
+            None => Ok(()),
+        }
+    }
+
     fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.flags.get(name) {
             Some(v) => v.parse().map_err(|_| format!("invalid --{name}: {v}")),
@@ -213,7 +237,10 @@ impl Options {
             .ok_or_else(|| format!("--{name} is required"))
     }
 
-    fn trace_path(&mut self) -> Result<String, String> {
+    /// The one positional argument (a trace or manifest path) of a
+    /// subcommand that reads `flags`, after [`Options::accept`].
+    fn trace_path(&mut self, flags: &str) -> Result<String, String> {
+        self.accept(flags, 1)?;
         if self.positional.is_empty() {
             return Err("expected a trace file argument".into());
         }
@@ -233,94 +260,121 @@ fn open_frames(path: &str) -> Result<FrameIter<BufReader<File>>, String> {
     FrameIter::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Adapts the fallible streaming frame iterator into the infallible
-/// shape the parallel passes consume, parking the first decode/replay
-/// error for the caller to check once the pass finishes.
-struct StreamedFrames {
-    iter: FrameIter<BufReader<File>>,
-    error: Option<TraceError>,
-}
-
-impl StreamedFrames {
-    fn open(path: &str) -> Result<Self, String> {
-        Ok(Self {
-            iter: open_frames(path)?,
-            error: None,
-        })
-    }
-
-    /// Surfaces the parked error, if the stream ended on one.
-    fn finish(self, path: &str) -> Result<(), String> {
-        match self.error {
-            Some(e) => Err(format!("{path}: {e}")),
-            None => Ok(()),
+/// One streaming pass over the trace at `path`: `pass` consumes its
+/// frames, decoded incrementally with only a window in memory, and the
+/// shader library from the trace prelude. The first decode error ends
+/// the frames early and fails the pass once `pass` returns.
+fn replay<T>(
+    path: &str,
+    pass: impl FnOnce(&mut (dyn Iterator<Item = Frame> + Send), &ShaderTable) -> T,
+) -> Result<T, String> {
+    let mut decoded = open_frames(path)?;
+    let shaders = decoded.shaders().clone();
+    let mut error = None;
+    let mut frames = std::iter::from_fn(|| match decoded.next()? {
+        Ok(frame) => Some(frame),
+        Err(e) => {
+            error = Some(e);
+            None
         }
+    });
+    let out = pass(&mut frames, &shaders);
+    match error {
+        Some(e) => Err(format!("{path}: {e}")),
+        None => Ok(out),
     }
 }
 
-impl Iterator for StreamedFrames {
-    type Item = Frame;
-
-    fn next(&mut self) -> Option<Frame> {
-        match self.iter.next()? {
-            Ok(frame) => Some(frame),
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-}
-
-/// One streaming characterization pass over a trace file: returns the
-/// shader library (decoded from the trace prelude) and the `N × D`
-/// feature matrix, holding only a window of frames in memory.
+/// The `N × D` feature matrix of a trace (one streaming pass).
 fn characterize_trace(
     path: &str,
     gpu: &GpuConfig,
     config: &MegsimConfig,
-) -> Result<(ShaderTable, FeatureMatrix), String> {
-    let mut frames = StreamedFrames::open(path)?;
-    let shaders = frames.iter.shaders().clone();
-    let matrix = characterize_sequence(&mut frames, &shaders, gpu, config);
-    frames.finish(path)?;
-    Ok((shaders, matrix))
+) -> Result<FeatureMatrix, String> {
+    replay(path, |frames, shaders| {
+        characterize_sequence(frames, shaders, gpu, config)
+    })
 }
 
-/// Parses the streaming-clustering knobs shared by `select` and
-/// `estimate` (`--reservoir`, `--stream-batch`).
-fn stream_cluster_config(opts: &Options) -> Result<StreamClusterConfig, String> {
+/// Parses `--stream-cluster` and its knobs (`--reservoir`,
+/// `--stream-batch`), shared by `select` and `estimate`. `None` keeps
+/// the two-pass path.
+fn stream_cluster_config(opts: &Options) -> Result<Option<StreamClusterConfig>, String> {
+    if !opts.has("stream-cluster") {
+        return Ok(None);
+    }
     let defaults = StreamClusterConfig::default();
     let capacity: usize = opts.flag("reservoir", defaults.reservoir_capacity)?;
     let batch: usize = opts.flag("stream-batch", defaults.batch_size)?;
     if batch == 0 {
         return Err("--stream-batch must be at least 1".into());
     }
-    Ok(defaults
-        .with_reservoir_capacity(capacity)
-        .with_batch_size(batch))
+    Ok(Some(
+        defaults
+            .with_reservoir_capacity(capacity)
+            .with_batch_size(batch),
+    ))
 }
 
-/// One fused decode → characterize → cluster pass over a trace file
-/// (`--stream-cluster`): frames flow through the online clusterer and
-/// are dropped, so memory stays bounded by the reservoir instead of
-/// growing with the trace. Returns the shader library and the
-/// streaming selection.
-fn select_stream(
+/// Plans a trace: selects its representatives in one streaming pass.
+/// Without `stream` that is the two-pass path (characterize the whole
+/// feature matrix, then cluster it); with it, the fused single-pass
+/// `--stream-cluster` path, which never holds more feature rows than
+/// its reservoir and reports its memory on stderr. Returns the shader
+/// library and the selection; a trace without frames is an error.
+fn plan_trace(
     path: &str,
     gpu: &GpuConfig,
     config: &MegsimConfig,
-    stream: &StreamClusterConfig,
-) -> Result<(ShaderTable, StreamSelection), String> {
-    let mut frames = StreamedFrames::open(path)?;
-    let shaders = frames.iter.shaders().clone();
-    let selection = megsim_core::characterize_stream(&mut frames, &shaders, gpu, config, stream);
-    frames.finish(path)?;
-    Ok((shaders, selection))
+    stream: Option<&StreamClusterConfig>,
+) -> Result<(ShaderTable, Selection), String> {
+    let planned = replay(path, |frames, shaders| {
+        let mut frames = frames.peekable();
+        frames.peek()?;
+        let selection = match stream {
+            None => {
+                let matrix = characterize_sequence(frames, shaders, gpu, config);
+                select_representatives(&matrix, config)
+            }
+            Some(stream) => {
+                let streamed = characterize_stream(frames, shaders, gpu, config, stream);
+                eprintln!(
+                    "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
+                    streamed.reservoir_len,
+                    streamed.selection.labels.len(),
+                    streamed.peak_rows_retained,
+                    streamed.live_k
+                );
+                streamed.selection
+            }
+        };
+        Some((shaders.clone(), selection))
+    })?;
+    planned.ok_or_else(|| format!("{path}: trace has no frames"))
 }
 
-/// Second streaming pass of `estimate`: re-decodes the trace and keeps
-/// only the frames whose indices were selected as representatives.
+/// Estimates a plan's sequence totals: a second streaming pass picks
+/// up just the representative frames, each is simulated on a fresh rig
+/// of shape `multi`, and its statistics are scaled by its cluster size.
+fn estimate_plan(
+    path: &str,
+    shaders: &ShaderTable,
+    selection: &Selection,
+    gpu: &GpuConfig,
+    multi: MultiGpuConfig,
+) -> Result<FrameStats, String> {
+    let indices = selection.representatives.iter().map(|r| r.frame_index);
+    let reps = collect_frames_by_index(path, &indices.clone().collect())?;
+    let rep_stats =
+        simulate_representatives_multi(|i| reps[&i].clone(), selection, shaders, gpu, multi);
+    let by_frame: HashMap<usize, FrameStats> = indices.zip(rep_stats).collect();
+    Ok(estimate_totals(&selection.representatives, |i| {
+        &by_frame[&i]
+    }))
+}
+
+/// Re-decodes the trace and keeps only the frames whose indices were
+/// selected as representatives; the rest flow through unretained.
 fn collect_frames_by_index(
     path: &str,
     wanted: &HashSet<usize>,
@@ -338,7 +392,25 @@ fn collect_frames_by_index(
     Ok(out)
 }
 
+/// The full simulation of a trace, the ground truth of its estimate:
+/// every frame on a fresh single GPU, or, given `multi`, the whole
+/// sequence on one warm rig of that shape (with the rig's report).
+fn simulate_trace(
+    path: &str,
+    gpu: &GpuConfig,
+    multi: Option<MultiGpuConfig>,
+) -> Result<(Vec<FrameStats>, Option<MultiGpuReport>), String> {
+    replay(path, |frames, shaders| match multi {
+        Some(m) => {
+            let (stats, report) = simulate_sequence_multi(frames, shaders, gpu, m);
+            (stats, Some(report))
+        }
+        None => (simulate_sequence(frames, shaders, gpu), None),
+    })
+}
+
 fn record(opts: &mut Options) -> Result<(), String> {
+    opts.accept("benchmark scale seed out codec-version", 0)?;
     let alias = opts.required_flag("benchmark")?.to_string();
     let scale: f64 = opts.flag("scale", 0.1)?;
     let seed: u64 = opts.flag("seed", 42)?;
@@ -364,7 +436,7 @@ fn record(opts: &mut Options) -> Result<(), String> {
 }
 
 fn info(opts: &mut Options) -> Result<(), String> {
-    let path = opts.trace_path()?;
+    let path = opts.trace_path("")?;
     let file = File::open(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let size = file
         .metadata()
@@ -404,9 +476,9 @@ fn info(opts: &mut Options) -> Result<(), String> {
 }
 
 fn characterize(opts: &mut Options) -> Result<(), String> {
-    let path = opts.trace_path()?;
+    let path = opts.trace_path("out")?;
     let gpu = GpuConfig::mali450_like();
-    let (_, matrix) = characterize_trace(&path, &gpu, &MegsimConfig::default())?;
+    let matrix = characterize_trace(&path, &gpu, &MegsimConfig::default())?;
     let csv = report::feature_matrix_csv(&matrix);
     match opts.flags.get("out") {
         Some(out) => {
@@ -423,25 +495,12 @@ fn characterize(opts: &mut Options) -> Result<(), String> {
 }
 
 fn select(opts: &mut Options) -> Result<(), String> {
-    let path = opts.trace_path()?;
+    let path = opts.trace_path("seed out stream-cluster reservoir stream-batch")?;
     let seed: u64 = opts.flag("seed", 42)?;
+    let stream = stream_cluster_config(opts)?;
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default().with_seed(seed);
-    let selection = if opts.has("stream-cluster") {
-        let stream = stream_cluster_config(opts)?;
-        let (_, streamed) = select_stream(&path, &gpu, &config, &stream)?;
-        eprintln!(
-            "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
-            streamed.reservoir_len,
-            streamed.selection.labels.len(),
-            streamed.peak_rows_retained,
-            streamed.live_k
-        );
-        streamed.selection
-    } else {
-        let (_, matrix) = characterize_trace(&path, &gpu, &config)?;
-        select_representatives(&matrix, &config)
-    };
+    let (_, selection) = plan_trace(&path, &gpu, &config, stream.as_ref())?;
     println!(
         "{} frames -> {} representatives ({:.1}x reduction)",
         selection.labels.len(),
@@ -465,8 +524,9 @@ fn select(opts: &mut Options) -> Result<(), String> {
 }
 
 /// Parses the multi-GPU scenario flags (`--gpus`, `--dispatch`,
-/// `--mem`). Returns `None` when none were given, keeping the default
-/// `estimate` on the single-GPU path (and its frame cache).
+/// `--mem`). Returns `None` when none were given: `estimate` then
+/// prints no rig summary, and its ground truth simulates every frame on
+/// a fresh single GPU instead of one warm rig sequence.
 fn multi_gpu_options(opts: &Options) -> Result<Option<MultiGpuConfig>, String> {
     let explicit = ["gpus", "dispatch", "mem"]
         .iter()
@@ -503,52 +563,19 @@ fn topology_name(topology: Topology) -> &'static str {
 }
 
 fn estimate(opts: &mut Options) -> Result<(), String> {
-    let path = opts.trace_path()?;
+    let path = opts
+        .trace_path("seed ground-truth gpus dispatch mem stream-cluster reservoir stream-batch")?;
     let seed: u64 = opts.flag("seed", 42)?;
     let ground_truth = opts.has("ground-truth");
     let multi = multi_gpu_options(opts)?;
+    let stream = stream_cluster_config(opts)?;
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default().with_seed(seed);
-    // The fused single-pass path never materializes the feature
-    // matrix, so `--ground-truth` errors are then computed from the
-    // scaled representative totals instead of `evaluate_megsim`.
-    let (shaders, matrix, selection) = if opts.has("stream-cluster") {
-        let stream = stream_cluster_config(opts)?;
-        let (shaders, streamed) = select_stream(&path, &gpu, &config, &stream)?;
-        eprintln!(
-            "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
-            streamed.reservoir_len,
-            streamed.selection.labels.len(),
-            streamed.peak_rows_retained,
-            streamed.live_k
-        );
-        (shaders, None, streamed.selection)
-    } else {
-        let (shaders, matrix) = characterize_trace(&path, &gpu, &config)?;
-        let selection = select_representatives(&matrix, &config);
-        (shaders, Some(matrix), selection)
-    };
-    // A second streaming pass picks up just the representative frames;
-    // the rest of the trace flows through without being retained.
-    let wanted: HashSet<usize> = selection
-        .representatives
-        .iter()
-        .map(|r| r.frame_index)
-        .collect();
-    let reps = collect_frames_by_index(&path, &wanted)?;
-    // Simulate only the representatives, scale by cluster sizes: each
-    // on a fresh rig of the scenario's shape (a single GPU by default).
-    let rep_stats = megsim_core::simulate_representatives_multi(
-        |i| reps[&i].clone(),
-        &selection,
-        &shaders,
-        &gpu,
-        multi.unwrap_or_else(MultiGpuConfig::single),
-    );
-    let mut estimated = megsim_timing::FrameStats::default();
-    for (stats, rep) in rep_stats.iter().zip(&selection.representatives) {
-        estimated.merge(&stats.scaled(rep.cluster_size as u64));
-    }
+    let (shaders, selection) = plan_trace(&path, &gpu, &config, stream.as_ref())?;
+    // Simulate only the representatives, each on a fresh rig of the
+    // scenario's shape (a single GPU by default).
+    let rig = multi.unwrap_or_else(MultiGpuConfig::single);
+    let estimated = estimate_plan(&path, &shaders, &selection, &gpu, rig)?;
     if let Some(m) = multi {
         println!(
             "multi-GPU rig: {} GPUs, {} dispatch, {} memory",
@@ -569,54 +596,35 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
     println!("  L2 accesses:         {}", estimated.l2_accesses());
     println!("  tile-cache accesses: {}", estimated.tile_cache_accesses());
     println!("  IPC:                 {:.2}", estimated.ipc());
-    if ground_truth {
-        eprintln!("running full ground-truth simulation...");
-        // Third streaming pass: the full simulation also replays off
-        // the file handle, overlapping decode with render and timing.
-        let mut frames = StreamedFrames::open(&path)?;
-        if let Some(m) = multi {
-            // Multi-GPU ground truth: the warm N-GPU rig sequence.
-            let (per_frame, report) =
-                megsim_core::simulate_sequence_multi(&mut frames, &shaders, &gpu, m);
-            frames.finish(&path)?;
-            let actual = sequence_totals(&per_frame);
-            let errors = metric_errors(&estimated, &actual);
-            println!(
-                "interconnect: {} line transfers, {} bytes, {} busy cycles",
-                report.transfers(),
-                report.bytes(),
-                report.busy_cycles()
-            );
-            println!("relative errors vs full multi-GPU simulation:");
-            println!("  N  dispatch  mem      cycles     DRAM       L2         tile");
-            println!(
-                "  {:<2} {:<9} {:<8} {:>8.3}% {:>8.3}% {:>8.3}% {:>8.3}%",
-                m.gpus,
-                dispatch_name(m.dispatch),
-                topology_name(m.topology),
-                errors.cycles * 100.0,
-                errors.dram_accesses * 100.0,
-                errors.l2_accesses * 100.0,
-                errors.tile_cache_accesses * 100.0
-            );
-            return Ok(());
-        }
-        let per_frame = simulate_sequence(&mut frames, &shaders, &gpu);
-        frames.finish(&path)?;
-        let errors = match &matrix {
-            Some(matrix) => {
-                let run = evaluate_megsim(matrix, &per_frame, &config);
-                println!("relative errors vs full simulation (estimates from full-run frames):");
-                run.errors
-            }
-            None => {
-                let actual = sequence_totals(&per_frame);
-                println!(
-                    "relative errors vs full simulation (estimates from representative runs):"
-                );
-                metric_errors(&estimated, &actual)
-            }
-        };
+    if !ground_truth {
+        return Ok(());
+    }
+    eprintln!("running full ground-truth simulation...");
+    // Third streaming pass: the full simulation also replays off the
+    // file handle, overlapping decode with render and timing.
+    let (per_frame, report) = simulate_trace(&path, &gpu, multi)?;
+    let errors = metric_errors(&estimated, &sequence_totals(&per_frame));
+    if let (Some(m), Some(report)) = (multi, report) {
+        println!(
+            "interconnect: {} line transfers, {} bytes, {} busy cycles",
+            report.transfers(),
+            report.bytes(),
+            report.busy_cycles()
+        );
+        println!("relative errors vs full multi-GPU simulation:");
+        println!("  N  dispatch  mem      cycles     DRAM       L2         tile");
+        println!(
+            "  {:<2} {:<9} {:<8} {:>8.3}% {:>8.3}% {:>8.3}% {:>8.3}%",
+            m.gpus,
+            dispatch_name(m.dispatch),
+            topology_name(m.topology),
+            errors.cycles * 100.0,
+            errors.dram_accesses * 100.0,
+            errors.l2_accesses * 100.0,
+            errors.tile_cache_accesses * 100.0
+        );
+    } else {
+        println!("relative errors vs full simulation:");
         println!("  cycles:              {:.3}%", errors.cycles * 100.0);
         println!(
             "  DRAM accesses:       {:.3}%",
@@ -634,76 +642,58 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
 /// Runs one batch campaign body. Returns the campaign's one-line
 /// summary; all detail goes to `out=` files so concurrent campaigns
 /// never interleave on stdout.
-fn run_campaign(job: &megsim_core::BatchJob) -> Result<String, String> {
-    use megsim_core::BatchOp;
+fn run_campaign(job: &BatchJob) -> Result<String, String> {
+    use std::fmt::Write as _;
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default().with_seed(job.seed);
-    match job.op {
+    let (mut summary, csv) = match job.op {
         BatchOp::Characterize => {
-            let (_, matrix) = characterize_trace(&job.trace, &gpu, &config)?;
-            let mut summary = format!("{} x {} features", matrix.frames(), matrix.dim());
-            if let Some(out) = &job.out {
-                let csv = report::feature_matrix_csv(&matrix);
-                std::fs::write(out, csv).map_err(|e| format!("cannot write {out}: {e}"))?;
-                summary.push_str(&format!(" -> {out}"));
-            }
-            Ok(summary)
+            let matrix = characterize_trace(&job.trace, &gpu, &config)?;
+            let csv = job
+                .out
+                .as_ref()
+                .map(|_| report::feature_matrix_csv(&matrix));
+            (
+                format!("{} x {} features", matrix.frames(), matrix.dim()),
+                csv,
+            )
         }
         BatchOp::Estimate => {
-            let (shaders, matrix) = characterize_trace(&job.trace, &gpu, &config)?;
-            let selection = select_representatives(&matrix, &config);
-            let wanted: HashSet<usize> = selection
-                .representatives
-                .iter()
-                .map(|r| r.frame_index)
-                .collect();
-            let reps = collect_frames_by_index(&job.trace, &wanted)?;
-            let rep_stats = megsim_core::simulate_representatives(
-                |i| reps[&i].clone(),
-                &selection,
-                &shaders,
-                &gpu,
-            );
-            let mut estimated = megsim_timing::FrameStats::default();
-            for (stats, rep) in rep_stats.iter().zip(&selection.representatives) {
-                estimated.merge(&stats.scaled(rep.cluster_size as u64));
-            }
+            let (shaders, selection) = plan_trace(&job.trace, &gpu, &config, None)?;
+            let single = MultiGpuConfig::single();
+            let estimated = estimate_plan(&job.trace, &shaders, &selection, &gpu, single)?;
+            let frames = selection.labels.len();
             let mut summary = format!(
-                "{}/{} frames, {} cycles",
+                "{}/{frames} frames, {} cycles",
                 selection.k(),
-                matrix.frames(),
                 estimated.cycles
             );
             if job.ground_truth {
-                let mut frames = StreamedFrames::open(&job.trace)?;
-                let per_frame = simulate_sequence(&mut frames, &shaders, &gpu);
-                frames.finish(&job.trace)?;
-                let run = evaluate_megsim(&matrix, &per_frame, &config);
-                summary.push_str(&format!(", cycles err {:.3}%", run.errors.cycles * 100.0));
+                let (per_frame, _) = simulate_trace(&job.trace, &gpu, None)?;
+                let errors = metric_errors(&estimated, &sequence_totals(&per_frame));
+                let _ = write!(summary, ", cycles err {:.3}%", errors.cycles * 100.0);
             }
-            if let Some(out) = &job.out {
-                let mut csv = String::from("metric,value\n");
-                use std::fmt::Write as _;
-                let _ = writeln!(csv, "frames,{}", matrix.frames());
-                let _ = writeln!(csv, "representatives,{}", selection.k());
-                let _ = writeln!(csv, "cycles,{}", estimated.cycles);
-                let _ = writeln!(csv, "dram_accesses,{}", estimated.dram_accesses());
-                let _ = writeln!(csv, "l2_accesses,{}", estimated.l2_accesses());
-                let _ = writeln!(
-                    csv,
-                    "tile_cache_accesses,{}",
-                    estimated.tile_cache_accesses()
-                );
-                std::fs::write(out, csv).map_err(|e| format!("cannot write {out}: {e}"))?;
-                summary.push_str(&format!(" -> {out}"));
-            }
-            Ok(summary)
+            let csv = format!(
+                "metric,value\nframes,{frames}\nrepresentatives,{}\ncycles,{}\n\
+                 dram_accesses,{}\nl2_accesses,{}\ntile_cache_accesses,{}\n",
+                selection.k(),
+                estimated.cycles,
+                estimated.dram_accesses(),
+                estimated.l2_accesses(),
+                estimated.tile_cache_accesses()
+            );
+            (summary, Some(csv))
         }
+    };
+    if let (Some(out), Some(csv)) = (&job.out, csv) {
+        std::fs::write(out, csv).map_err(|e| format!("cannot write {out}: {e}"))?;
+        let _ = write!(summary, " -> {out}");
     }
+    Ok(summary)
 }
 
 fn batch(opts: &mut Options) -> Result<(), String> {
-    let manifest_path = opts.trace_path()?;
+    let manifest_path = opts.trace_path("")?;
     let text = std::fs::read_to_string(&manifest_path)
         .map_err(|e| format!("cannot read {manifest_path}: {e}"))?;
     let jobs = megsim_core::parse_manifest(&text).map_err(|e| format!("{manifest_path}: {e}"))?;
@@ -1011,6 +1001,63 @@ mod tests {
         std::fs::write(&manifest, "ghost estimate /nonexistent/x.mglt\n").expect("write");
         let err = run(&argv(&["batch", &manifest])).unwrap_err();
         assert!(err.contains("1 of 1"), "{err}");
+    }
+
+    #[test]
+    fn zero_frame_traces_fail_every_planning_command() {
+        let workload = megsim_workloads::by_alias("jjo", 0.01, 1).expect("known benchmark");
+        let stream = record_sequence(workload.shaders(), &Vec::<Frame>::new());
+        let trace = tmp("no_frames.mglt");
+        let bytes = encode_with_version(&stream, FORMAT_VERSION).expect("v1 encodes");
+        std::fs::write(&trace, bytes).expect("write");
+        let no_frames = format!("{trace}: trace has no frames");
+        for args in [
+            vec!["select", &trace],
+            vec!["estimate", &trace],
+            vec!["estimate", &trace, "--stream-cluster"],
+        ] {
+            assert_eq!(run(&argv(&args)), Err(no_frames.clone()), "{args:?}");
+        }
+        let manifest = tmp("no_frames.manifest");
+        let text = format!("empty estimate {trace}\n");
+        std::fs::write(&manifest, &text).expect("write");
+        let err = run(&argv(&["batch", &manifest])).unwrap_err();
+        assert!(err.contains("1 of 1"), "{err}");
+        let jobs = megsim_core::parse_manifest(&text).expect("manifest parses");
+        let report = megsim_core::run_batch(&jobs, run_campaign);
+        assert_eq!(report.failures(), 1);
+        assert_eq!(report.campaigns[0].outcome, Err(no_frames));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let err = run(&argv(&["select", "/nonexistent/x.mglt", "--sede", "5"])).unwrap_err();
+        assert!(err.contains("--sede"), "{err}");
+        // `--reservoir` is an option of select and estimate only.
+        let err = run(&argv(&["info", "/nonexistent/x.mglt", "--reservoir", "0"])).unwrap_err();
+        assert!(err.contains("--reservoir"), "{err}");
+        // The global flags are accepted by every subcommand.
+        let cache = tmp("global_flags_cache");
+        let err = run(&argv(&[
+            "--threads",
+            "1",
+            "info",
+            "/nonexistent/x.mglt",
+            "--no-frame-cache",
+            "--no-persist",
+            "--cache-dir",
+            &cache,
+        ]))
+        .unwrap_err();
+        assert!(err.contains("cannot read"), "{err}");
+    }
+
+    #[test]
+    fn extra_positional_arguments_are_rejected_by_name() {
+        let err = run(&argv(&["select", "/nonexistent/a.mglt", "b.mglt"])).unwrap_err();
+        assert!(err.contains("b.mglt"), "{err}");
+        let err = run(&argv(&["record", "stray", "--benchmark", "jjo"])).unwrap_err();
+        assert!(err.contains("stray"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! makes the prune test conservative under floating point. Labels,
 //! centroids, WCSS and iteration counts are therefore bit-identical to
 //! the retained seed implementation
-//! ([`crate::kmeans_reference::ReferenceKMeans`]), which the proptest
+//! (`ReferenceKMeans`), which the proptest
 //! oracles in that module enforce.
 //!
 //! Observations live in a contiguous [`PointMatrix`]; on large problems

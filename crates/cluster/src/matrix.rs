@@ -213,7 +213,7 @@ impl SoaPoints {
     /// The tile accumulates dimension by dimension: per pair that is a
     /// single scalar receiving `(x_id − x_jd)²` in ascending `d` order —
     /// bitwise the fold [`crate::squared_distance`] computes. The kernel
-    /// register-blocks [`D2_LANES`] points of `js` at a time: their
+    /// register-blocks `D2_LANES` points of `js` at a time: their
     /// accumulators live in registers across the whole dimension loop
     /// (one contiguous vector load per dimension, no per-dimension tile
     /// traffic), and each lane is an independent sum, so the block

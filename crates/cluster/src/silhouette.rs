@@ -12,7 +12,7 @@
 //! within a chunk each point accumulates its per-cluster distance sums
 //! tile by tile in ascending `j` order — the exact accumulation
 //! sequence of the seed implementation
-//! ([`crate::kmeans_reference::ReferenceKMeans::silhouette_score`], the
+//! (`ReferenceKMeans::silhouette_score`, the
 //! proptest oracle), so scores are bit-identical at any thread count.
 
 use crate::kmeans::{KMeansResult, KMeansScratch};

@@ -39,14 +39,13 @@ use megsim_gfx::draw::Frame;
 use megsim_gfx::shader::ShaderTable;
 use megsim_timing::{FrameStats, Gpu, GpuConfig, MultiGpu, MultiGpuConfig, MultiGpuReport};
 
-use megsim_cluster::StreamClusterer;
+use megsim_cluster::PointMatrix;
 
 use crate::estimate::{estimate_totals, metric_errors, sequence_totals, MetricErrors};
-use crate::features::{characterize_frame_into, feature_matrix, FeatureMatrix};
+use crate::features::{characterize_frame, FeatureMatrix};
 use crate::frame_cache;
-use crate::normalize::RunningGroupMass;
 use crate::pipeline::{
-    finish_stream, select_representatives, MegsimConfig, Selection, StreamClusterConfig,
+    select_representatives, MegsimConfig, Selection, StreamClusterConfig, StreamFold,
     StreamSelection,
 };
 
@@ -62,30 +61,23 @@ const STREAM_PIPELINE_DEPTH: usize = 16;
 ///
 /// Frames are pulled off the iterator incrementally and never
 /// materialized as a whole sequence: a streaming source (a trace
-/// decoder) is characterized in O(window) frame memory via
-/// [`megsim_exec::iter_pipeline`].
+/// decoder) is characterized in O(window) frame memory, and only the
+/// feature rows are kept.
 pub fn characterize_sequence(
     frames: impl Iterator<Item = Frame> + Send,
     shaders: &ShaderTable,
     gpu_config: &GpuConfig,
     config: &MegsimConfig,
 ) -> FeatureMatrix {
-    let render_config = RenderConfig {
-        viewport: gpu_config.viewport,
-        mode: gpu_config.render_mode,
+    let mut matrix = FeatureMatrix {
+        rows: PointMatrix::new(shaders.vertex_count() + shaders.fragment_count() + 1),
+        vscv_len: shaders.vertex_count(),
+        fscv_len: shaders.fragment_count(),
     };
-    let renderer = Renderer::new(render_config);
-    let config_fp = frame_cache::activity_config_fingerprint(&render_config, shaders);
-    let mut activities = Vec::new();
-    megsim_exec::iter_pipeline(
-        frames,
-        STREAM_PIPELINE_DEPTH,
-        |_, f: Frame| {
-            frame_cache::activity_or_else(config_fp, &f, || renderer.frame_activity(&f, shaders))
-        },
-        |_, activity| activities.push(activity),
-    );
-    feature_matrix(activities.iter(), shaders, &config.characterization)
+    characterize_rows(frames, shaders, gpu_config, config, |row| {
+        matrix.rows.push_row(row);
+    });
+    matrix
 }
 
 /// True single-pass MEGsim selection: frames flow decoder → functional
@@ -93,12 +85,12 @@ pub fn characterize_sequence(
 /// whole-sequence barrier of the two-pass flow (materialize the feature
 /// matrix, then cluster it) disappears.
 ///
-/// Characterization fans out on the worker pool
-/// ([`megsim_exec::iter_fold`]); the caller thread folds each frame's
-/// feature row — in strict arrival order — into the running §III-C
-/// group masses and the [`StreamClusterer`]. Peak feature memory is the
-/// clusterer's reservoir plus one mini-batch plus the pipeline window,
-/// independent of sequence length.
+/// This is the characterization pass of [`characterize_sequence`] with
+/// each frame's feature row folded — in strict arrival order, on the
+/// caller thread — into the running §III-C group masses and the
+/// [`megsim_cluster::StreamClusterer`] instead of a matrix. Peak
+/// feature memory is the clusterer's reservoir plus one mini-batch
+/// plus the pipeline window, independent of sequence length.
 ///
 /// With `stream.reservoir_capacity == 0` the returned selection is
 /// **bitwise** what [`characterize_sequence`] +
@@ -116,50 +108,45 @@ pub fn characterize_stream(
     config: &MegsimConfig,
     stream: &StreamClusterConfig,
 ) -> StreamSelection {
+    let mut fold = StreamFold::new(
+        shaders.vertex_count(),
+        shaders.fragment_count(),
+        config,
+        stream,
+    );
+    characterize_rows(frames, shaders, gpu_config, config, |row| fold.push(row));
+    fold.finish()
+}
+
+/// The one characterization pass behind [`characterize_sequence`] and
+/// [`characterize_stream`]: frames render (through the content-addressed
+/// activity cache) and characterize on the worker pool, pure per frame,
+/// and `fold` receives each feature row on the caller thread in strict
+/// frame order, via [`megsim_exec::iter_pipeline`].
+fn characterize_rows(
+    frames: impl Iterator<Item = Frame> + Send,
+    shaders: &ShaderTable,
+    gpu_config: &GpuConfig,
+    config: &MegsimConfig,
+    mut fold: impl FnMut(&[f64]),
+) {
     let render_config = RenderConfig {
         viewport: gpu_config.viewport,
         mode: gpu_config.render_mode,
     };
     let renderer = Renderer::new(render_config);
     let config_fp = frame_cache::activity_config_fingerprint(&render_config, shaders);
-    let dim = shaders.vertex_count() + shaders.fragment_count() + 1;
-    let clusterer = StreamClusterer::new(dim, stream.to_stream_config(&config.search));
-    let characterization = config.characterization;
-    struct Fold {
-        clusterer: StreamClusterer,
-        mass: RunningGroupMass,
-        scales: Vec<f64>,
-    }
-    let fold = megsim_exec::iter_fold(
+    megsim_exec::iter_pipeline(
         frames,
         STREAM_PIPELINE_DEPTH,
-        // Map stage: render + characterize, pure per frame (cache hits
-        // are content-addressed, so results are order-independent).
         |_, f: Frame| {
             let activity = frame_cache::activity_or_else(config_fp, &f, || {
                 renderer.frame_activity(&f, shaders)
             });
-            let mut row = Vec::with_capacity(dim);
-            characterize_frame_into(&activity, shaders, &characterization, &mut row);
-            row
+            characterize_frame(&activity, shaders, &config.characterization)
         },
-        Fold {
-            clusterer,
-            mass: RunningGroupMass::new(shaders.vertex_count(), shaders.fragment_count()),
-            scales: Vec::new(),
-        },
-        // Fold stage: strict arrival order on the caller thread — the
-        // exact FP fold of the batch normalization pass.
-        |state, _, row| {
-            state.mass.add_row(&row);
-            state
-                .mass
-                .column_scales_into(&config.weights, &mut state.scales);
-            state.clusterer.set_scales(&state.scales);
-            state.clusterer.push(&row);
-        },
+        |_, row| fold(&row),
     );
-    finish_stream(fold.clusterer)
 }
 
 /// Full cycle-level simulation of a sequence (the paper's ground truth),

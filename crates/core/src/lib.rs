@@ -10,7 +10,7 @@
 //! The crate maps one-to-one onto paper §III:
 //!
 //! * [`features`] — the vector of characteristics (§III-B, Fig. 2)
-//! * [`normalize`] — power-derived group weights (§III-C, Fig. 4)
+//! * [`normalize`](mod@normalize) — power-derived group weights (§III-C, Fig. 4)
 //! * [`similarity`] — the frame Similarity Matrix (§III-D, Fig. 5)
 //! * [`pipeline`] — clustering and representative selection (§III-E/F)
 //! * [`estimate`] — statistic scaling and accuracy metrics (§V-B)

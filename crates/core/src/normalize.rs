@@ -67,55 +67,31 @@ impl Default for GroupWeights {
 /// Groups with zero mass (e.g. a frame range that never emits
 /// primitives) contribute zero columns rather than NaNs.
 pub fn normalize(matrix: &FeatureMatrix, weights: &GroupWeights) -> PointMatrix {
-    let p = matrix.vscv_len;
-    let q = matrix.fscv_len;
-    let d = matrix.dim();
-    // Group masses.
-    let mut mass = [0.0f64; 3];
+    let mut mass = RunningGroupMass::new(matrix.vscv_len, matrix.fscv_len);
     for row in matrix.rows.iter_rows() {
-        for (c, &v) in row.iter().enumerate() {
-            let g = group_of(c, p, q);
-            mass[g] += v;
-        }
+        mass.add_row(row);
     }
-    let scale = [
-        if mass[0] > 0.0 {
-            weights.geometry / mass[0]
-        } else {
-            0.0
-        },
-        if mass[1] > 0.0 {
-            weights.raster / mass[1]
-        } else {
-            0.0
-        },
-        if mass[2] > 0.0 {
-            weights.tiling / mass[2]
-        } else {
-            0.0
-        },
-    ];
-    // One linear pass over the flat buffer; the column index cycles
-    // modulo `d`.
+    let scales = mass.column_scales(weights);
     let flat: Vec<f64> = matrix
         .rows
         .as_slice()
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v * scale[group_of(i % d, p, q)])
+        .chunks_exact(scales.len())
+        .flat_map(|row| row.iter().zip(&scales).map(|(&v, &s)| v * s))
         .collect();
-    PointMatrix::from_flat(flat, d)
+    PointMatrix::from_flat(flat, scales.len())
 }
 
-/// Incremental group-mass accumulator for the single-pass streaming
-/// pipeline: feed rows with [`RunningGroupMass::add_row`] in arrival
-/// order and read off per-column scales at any point.
+/// The §III-C group-mass fold: feed rows with
+/// [`RunningGroupMass::add_row`] in arrival order and read off
+/// per-column scales at any point.
 ///
-/// The accumulation is the **exact floating-point fold** of
-/// [`normalize`] — row by row, column within row — so after the last
-/// row the masses, and therefore the scales, are bitwise what the batch
-/// pass computes. That identity is what makes the exact-reservoir
-/// streaming mode reproduce `select_representatives` bit for bit.
+/// It is the one body of the mass fold — row by row, column within
+/// row — for both selection paths: [`normalize`] adds every row of a
+/// matrix and reads the scales once, the single-pass streaming
+/// pipeline reads them after every row. After the last row the two
+/// hold bitwise the same scales, which is what makes the
+/// exact-reservoir streaming mode reproduce `select_representatives`
+/// bit for bit.
 #[derive(Debug, Clone)]
 pub struct RunningGroupMass {
     p: usize,
@@ -158,23 +134,14 @@ impl RunningGroupMass {
     /// value [`normalize`] multiplies by — or `0` for a zero-mass
     /// group.
     pub fn column_scales_into(&self, weights: &GroupWeights, out: &mut Vec<f64>) {
-        let scale = [
-            if self.mass[0] > 0.0 {
-                weights.geometry / self.mass[0]
+        let weight = [weights.geometry, weights.raster, weights.tiling];
+        let scale: [f64; 3] = std::array::from_fn(|g| {
+            if self.mass[g] > 0.0 {
+                weight[g] / self.mass[g]
             } else {
                 0.0
-            },
-            if self.mass[1] > 0.0 {
-                weights.raster / self.mass[1]
-            } else {
-                0.0
-            },
-            if self.mass[2] > 0.0 {
-                weights.tiling / self.mass[2]
-            } else {
-                0.0
-            },
-        ];
+            }
+        });
         out.clear();
         out.extend((0..self.dim()).map(|c| scale[group_of(c, self.p, self.q)]));
     }
@@ -262,22 +229,47 @@ mod tests {
             2,
             2,
         );
+        // The §III-C fold, written out independently of the code under
+        // test: per-group sums in row-major order, then `weight / sum`
+        // (0 for an empty group). Columns 0..2 are VSCV, 2..4 FSCV and
+        // 4 is PRIM.
+        let group = [0usize, 0, 1, 1, 2];
         for weights in [
             GroupWeights::paper(),
             GroupWeights::uniform(),
             GroupWeights::shader_only(),
         ] {
+            let mut sums = [0.0f64; 3];
+            for row in m.rows.iter_rows() {
+                for (c, &v) in row.iter().enumerate() {
+                    sums[group[c]] += v;
+                }
+            }
+            let group_weight = [weights.geometry, weights.raster, weights.tiling];
+            let expected: Vec<f64> = group
+                .iter()
+                .map(|&g| {
+                    if sums[g] > 0.0 {
+                        group_weight[g] / sums[g]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
             let batch = normalize(&m, &weights);
             let mut running = RunningGroupMass::new(2, 2);
             for row in m.rows.iter_rows() {
                 running.add_row(row);
             }
             let scales = running.column_scales(&weights);
+            for (c, (&got, &want)) in scales.iter().zip(&expected).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "scale of col {c}");
+            }
             for (i, row) in m.rows.iter_rows().enumerate() {
                 for (c, &v) in row.iter().enumerate() {
                     assert_eq!(
-                        (v * scales[c]).to_bits(),
                         batch.row(i)[c].to_bits(),
+                        (v * expected[c]).to_bits(),
                         "row {i} col {c}"
                     );
                 }

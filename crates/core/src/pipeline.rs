@@ -144,11 +144,10 @@ pub struct StreamSelection {
 }
 
 /// Streaming counterpart of [`select_representatives`]: one pass over
-/// the rows, feeding the running §III-C group masses and the online
-/// clusterer together, with peak memory bounded by the reservoir plus
-/// one mini-batch (never the full matrix — this entry point takes one
-/// only for API symmetry and the oracle tests; the truly single-pass
-/// producer is `characterize_stream`).
+/// the rows of `matrix` through the streaming fold, with peak memory
+/// bounded by the reservoir plus one mini-batch (never the full matrix
+/// — this entry point takes one only for API symmetry and the oracle
+/// tests; the truly single-pass producer is `characterize_stream`).
 ///
 /// With an unbounded reservoir the output selection is **bitwise**
 /// [`select_representatives`]: the running masses reproduce the batch
@@ -164,38 +163,69 @@ pub fn select_representatives_stream(
     stream: &StreamClusterConfig,
 ) -> StreamSelection {
     assert!(matrix.frames() > 0, "cannot select from zero frames");
-    let mut clusterer = StreamClusterer::new(matrix.dim(), stream.to_stream_config(&config.search));
-    let mut mass = RunningGroupMass::new(matrix.vscv_len, matrix.fscv_len);
-    let mut scales = Vec::new();
+    let mut fold = StreamFold::new(matrix.vscv_len, matrix.fscv_len, config, stream);
     for row in matrix.rows.iter_rows() {
-        mass.add_row(row);
-        mass.column_scales_into(&config.weights, &mut scales);
-        clusterer.set_scales(&scales);
-        clusterer.push(row);
+        fold.push(row);
     }
-    finish_stream(clusterer)
+    fold.finish()
 }
 
-/// Converts a finished [`StreamClusterer`] into a [`StreamSelection`].
-pub(crate) fn finish_stream(clusterer: StreamClusterer) -> StreamSelection {
-    let outcome = clusterer.finish();
-    let representatives = outcome
-        .representatives
-        .into_iter()
-        .map(|(frame_index, cluster_size)| Representative {
-            frame_index,
-            cluster_size,
-        })
-        .collect();
-    StreamSelection {
-        selection: Selection {
-            representatives,
-            labels: outcome.labels,
-            bic_scores: outcome.bic_scores,
-        },
-        reservoir_len: outcome.reservoir_len,
-        peak_rows_retained: outcome.peak_rows_retained,
-        live_k: outcome.live_k,
+/// The streaming selection fold: each raw feature row, in arrival
+/// order, updates the running §III-C group masses, re-scales the
+/// [`StreamClusterer`] by the new column scales and enters it. The one
+/// body behind [`select_representatives_stream`] and the fused
+/// `characterize_stream` pass.
+pub(crate) struct StreamFold {
+    mass: RunningGroupMass,
+    weights: GroupWeights,
+    scales: Vec<f64>,
+    clusterer: StreamClusterer,
+}
+
+impl StreamFold {
+    /// An empty fold for rows of `vscv_len + fscv_len + 1` columns.
+    pub(crate) fn new(
+        vscv_len: usize,
+        fscv_len: usize,
+        config: &MegsimConfig,
+        stream: &StreamClusterConfig,
+    ) -> Self {
+        let mass = RunningGroupMass::new(vscv_len, fscv_len);
+        let clusterer = StreamClusterer::new(mass.dim(), stream.to_stream_config(&config.search));
+        Self {
+            mass,
+            weights: config.weights,
+            scales: Vec::new(),
+            clusterer,
+        }
+    }
+
+    /// Folds in the next frame's raw feature row.
+    pub(crate) fn push(&mut self, row: &[f64]) {
+        self.mass.add_row(row);
+        self.mass
+            .column_scales_into(&self.weights, &mut self.scales);
+        self.clusterer.set_scales(&self.scales);
+        self.clusterer.push(row);
+    }
+
+    /// Finishes the clusterer into a [`StreamSelection`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no row was pushed.
+    pub(crate) fn finish(self) -> StreamSelection {
+        let outcome = self.clusterer.finish();
+        StreamSelection {
+            selection: Selection {
+                representatives: representatives(outcome.representatives),
+                labels: outcome.labels,
+                bic_scores: outcome.bic_scores,
+            },
+            reservoir_len: outcome.reservoir_len,
+            peak_rows_retained: outcome.peak_rows_retained,
+            live_k: outcome.live_k,
+        }
     }
 }
 
@@ -211,19 +241,22 @@ pub fn select_representatives(matrix: &FeatureMatrix, config: &MegsimConfig) -> 
     let found = search_clusters(&data, &config.search);
     let reps = found.clustering.representatives(&data);
     let sizes = found.clustering.cluster_sizes();
-    let representatives = reps
+    Selection {
+        representatives: representatives(reps.into_iter().zip(sizes)),
+        labels: found.clustering.labels,
+        bic_scores: found.bic_scores,
+    }
+}
+
+/// One [`Representative`] per `(frame_index, cluster_size)` pair.
+fn representatives(pairs: impl IntoIterator<Item = (usize, usize)>) -> Vec<Representative> {
+    pairs
         .into_iter()
-        .zip(sizes)
         .map(|(frame_index, cluster_size)| Representative {
             frame_index,
             cluster_size,
         })
-        .collect();
-    Selection {
-        representatives,
-        labels: found.clustering.labels,
-        bic_scores: found.bic_scores,
-    }
+        .collect()
 }
 
 #[cfg(test)]

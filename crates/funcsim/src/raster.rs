@@ -18,7 +18,7 @@
 //!
 //! ## The incremental hot path
 //!
-//! [`rasterize_prim`] is the innermost loop of the whole simulator, so
+//! `rasterize_prim` is the innermost loop of the whole simulator, so
 //! it is written as an *edge-stepped* rasterizer: the row-constant term
 //! of each edge function is hoisted out of the pixel loop, a
 //! conservative `f64` span test culls quads that provably produce no
@@ -27,7 +27,7 @@
 //! that *does* run executes in exactly the sequence the original scalar
 //! rasterizer used, so counters, traces and interpolants stay
 //! bit-identical — the seed implementation survives as
-//! [`crate::raster_reference`] and an equivalence proptest pins the two
+//! `raster_reference` and an equivalence proptest pins the two
 //! together. Work that cannot be observed is skipped entirely: span-
 //! culled quads (zero coverage is never traced or counted), UV
 //! interpolation when no trace is collected, and `z` interpolation for

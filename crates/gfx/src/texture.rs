@@ -141,7 +141,7 @@ impl TextureDesc {
     /// Precomputes the per-level addressing constants for a
     /// `(filter, lod)` pair, so a hot loop sampling many `(u, v)`
     /// positions of the same texture skips the per-call level clamp,
-    /// mip-chain walk ([`level_base`] loops over levels) and euclidean
+    /// mip-chain walk (`level_base` loops over levels) and euclidean
     /// remainders.
     ///
     /// [`LodSampler::addresses`] is bit-identical to
@@ -149,8 +149,6 @@ impl TextureDesc {
     /// (pinned by tests below): dimensions are powers of two, so the
     /// wrap `x.rem_euclid(w)` is exactly `x & (w - 1)` in two's
     /// complement.
-    ///
-    /// [`level_base`]: TextureDesc::level_base
     pub fn lod_sampler(&self, filter: TextureFilter, level: u32) -> LodSampler {
         let level = level.min(self.max_level());
         let next = (level + 1).min(self.max_level());

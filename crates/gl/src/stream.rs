@@ -2,7 +2,7 @@
 //! source with O(command) peak memory.
 //!
 //! The v1 pipeline decoded an entire `MGLT` capture into one in-memory
-//! [`CommandStream`] before a single frame replayed — double-buffering
+//! [`crate::CommandStream`] before a single frame replayed — double-buffering
 //! the trace (file bytes + command vector) and capping replayable trace
 //! length by RAM. [`StreamDecoder`] instead pulls one command at a time
 //! off the reader, and [`FrameIter`] layers the GL state machine on top

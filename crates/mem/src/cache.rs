@@ -12,7 +12,7 @@
 //! tag shift is precomputed at construction, and [`Cache::access_run`]
 //! services a streak of same-line accesses with a single tag lookup
 //! plus replayed tick/stat bookkeeping. The pre-optimization
-//! implementation is retained in [`crate::cache_reference`] and pinned
+//! implementation is retained in `cache_reference` and pinned
 //! bit-for-bit by proptests there.
 
 /// Static configuration of one cache.

@@ -45,7 +45,7 @@
 //! workers (or inline) and replayed in job order against the caches
 //! and DRAM on the caller thread; the output is the same either way.
 //! The pre-optimization model is retained in
-//! [`crate::timing_reference`] and pinned bit-for-bit by proptests
+//! `timing_reference` and pinned bit-for-bit by proptests
 //! there.
 
 use megsim_funcsim::{FrameTrace, RenderMode};

@@ -56,7 +56,7 @@
 //!
 //! At N = 1 both dispatch modes take the one-band path on GPU 0 with
 //! zero transfers, so every topology gives the same output. The oracle
-//! tests pin that against the retained scalar [`crate::ReferenceGpu`].
+//! tests pin that against the retained scalar `ReferenceGpu`.
 
 use megsim_funcsim::FrameTrace;
 use megsim_gfx::shader::ShaderTable;

@@ -11,7 +11,7 @@
 //! ## Generation fast path
 //!
 //! Everything frame-invariant is memoized once per workload in a
-//! [`GeometryTemplates`] cache built by [`Workload::new`]:
+//! `GeometryTemplates` cache built by [`Workload::new`]:
 //!
 //! * per-(class, instance) placements (`px`, `py`, `phase`) — in the
 //!   seed generator these cost a fresh `SmallRng` seeding plus three
@@ -28,7 +28,7 @@
 //! recomputed per frame, replaying the seed generator's exact RNG draw
 //! order and exact left-associated `Mat4` multiply chain, so every
 //! frame is bit-identical to the retained
-//! [`crate::reference::ReferenceWorkload`] (the proptest oracles in
+//! `ReferenceWorkload` (the proptest oracles in
 //! this crate and the `workloads` bench check that on every run).
 //!
 //! [`Workload::generate_frames`] additionally fans frame synthesis out
@@ -483,7 +483,7 @@ impl Workload {
     /// Generates frame `i` deterministically.
     ///
     /// Bit-identical to the seed generator (retained as
-    /// [`crate::reference::ReferenceWorkload`]): the frame RNG draws in
+    /// `ReferenceWorkload`): the frame RNG draws in
     /// the seed's exact order — spike coin, spike class, one noise draw
     /// per class — and the per-instance placement/matrix work replays
     /// the seed's exact arithmetic against the memoized cache.
@@ -555,7 +555,7 @@ impl Workload {
     }
 
     /// Generates the whole sequence, fanning out across the
-    /// `megsim-exec` worker pool in fixed [`GENERATION_CHUNK`]-frame
+    /// `megsim-exec` worker pool in fixed `GENERATION_CHUNK`-frame
     /// chunks. Bit-identical to collecting [`Workload::iter_frames`] at
     /// every thread count.
     pub fn generate_frames(&self) -> Vec<Frame> {
